@@ -30,11 +30,29 @@
 //! * **energy** — `DramEnergy::trace_energy` is monotone in
 //!   activations, bytes, and elapsed time, so the interval endpoints
 //!   map through it soundly.
+//!
+//! # Cost: one tally per run
+//!
+//! Every quantity above is a sum over bursts or a function of the
+//! per-bank miss counts, and a burst's contribution depends only on its
+//! `(unit, bank, row)` and byte count. The walk ([`BoundsWalk`])
+//! therefore never visits a burst: it takes each request as the same
+//! same-row runs the fast engine replays ([`crate::runs::RunDecoder`],
+//! one `decode` per run or per aligned super-line), adds a run's
+//! bursts, bytes, and RD/WR counts whole, and steps the row automaton
+//! once per run — the run's first burst is the only one that can miss.
+//! The cost is O(runs) per trace, not O(bursts), with results
+//! bit-identical to the per-burst walk (the `bounds_oracle` proptests
+//! check every field on every mapping shape). A walk is incremental:
+//! callers that need per-request attribution (the MEA3xx composer's
+//! per-tenant tallies and prefix snapshots) push requests themselves
+//! and read [`BoundsWalk::unit_bursts`] between pushes.
 
-use mealib_types::{Interval, PhysAddr, Seconds};
+use mealib_types::{Interval, Seconds};
 
 use crate::config::MemoryConfig;
-use crate::engine::Op;
+use crate::engine::{Op, Request};
+use crate::runs::{Run, RunDecoder};
 use crate::stats::TraceStats;
 use crate::trace::TraceBuffer;
 
@@ -104,18 +122,176 @@ impl TraceBounds {
     }
 }
 
-/// Per-unit accumulator for the timing-free replay.
-struct UnitBounds {
-    /// Open row per bank in the refresh-free automaton.
+/// The incremental bounds walk behind [`trace_bounds`]: create it with
+/// [`BoundsWalk::new`], feed requests in trace order with
+/// [`push`](BoundsWalk::push), and close it with
+/// [`finish`](BoundsWalk::finish). Each request is consumed as same-row
+/// [`Run`]s from the engine's own [`RunDecoder`] and tallied whole: its
+/// bursts, bytes, and RD/WR counts by addition, and one step of the
+/// refresh-free row automaton — a run shares one `(unit, bank, row)`,
+/// so its later bursts are row hits by construction.
+#[derive(Debug, Clone)]
+pub struct BoundsWalk<'a> {
+    config: &'a MemoryConfig,
+    decoder: RunDecoder<'a>,
+    banks: usize,
+    /// Open row per `(unit, bank)` in the refresh-free automaton.
     rows: Vec<Option<u64>>,
-    /// Misses of the refresh-free automaton, per bank.
+    /// Misses of the refresh-free automaton per `(unit, bank)`.
     bank_misses: Vec<u64>,
-    bursts: u64,
+    unit_bursts: Vec<u64>,
     read_bursts: u64,
     write_bursts: u64,
+    bytes_read: u64,
+    bytes_written: u64,
 }
 
-/// Derives certified bounds for `trace` on `config`.
+impl<'a> BoundsWalk<'a> {
+    /// An empty walk over `config`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`mealib_types::ConfigError`] found in
+    /// `config` — the same rejection surface as
+    /// [`crate::analytic::try_estimate`] and [`crate::engine::simulate`].
+    pub fn new(config: &'a MemoryConfig) -> Result<Self, mealib_types::ConfigError> {
+        config.validate()?;
+        let m = &config.mapping;
+        let (units, banks) = (m.units(), m.banks_per_unit());
+        Ok(Self {
+            config,
+            decoder: RunDecoder::new(&config.timing, m),
+            banks,
+            rows: vec![None; units * banks],
+            bank_misses: vec![0; units * banks],
+            unit_bursts: vec![0; units],
+            read_bursts: 0,
+            write_bursts: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+        })
+    }
+
+    /// Walks the next request of the trace.
+    pub fn push(&mut self, req: Request) {
+        self.push_with(req, |_| {});
+    }
+
+    /// Walks the next request of the trace, handing each of its runs to
+    /// `on_run` after tallying it — the hook callers use to attribute
+    /// runs (to a tenant, say).
+    pub fn push_with(&mut self, req: Request, mut on_run: impl FnMut(&Run)) {
+        match req.op {
+            Op::Read => self.bytes_read += req.bytes,
+            Op::Write => self.bytes_written += req.bytes,
+        }
+        let write = req.op == Op::Write;
+        let banks = self.banks;
+        let Self {
+            decoder,
+            rows,
+            bank_misses,
+            unit_bursts,
+            read_bursts,
+            write_bursts,
+            ..
+        } = self;
+        for run in decoder.runs(req.addr.get(), req.bytes) {
+            let loc = run.loc;
+            unit_bursts[loc.unit] += run.bursts;
+            if write {
+                *write_bursts += run.bursts;
+            } else {
+                *read_bursts += run.bursts;
+            }
+            // Refresh-free row automaton: exact lower bound on misses.
+            let slot = loc.unit * banks + loc.bank;
+            if rows[slot] != Some(loc.row) {
+                bank_misses[slot] += 1;
+                rows[slot] = Some(loc.row);
+            }
+            on_run(&run);
+        }
+    }
+
+    /// Exact bursts walked so far, per unit.
+    pub fn unit_bursts(&self) -> &[u64] {
+        &self.unit_bursts
+    }
+
+    /// Closes the walk into certified bounds on everything pushed.
+    pub fn finish(self) -> TraceBounds {
+        let t = &self.config.timing;
+        let banks = self.banks;
+
+        // Worst-case bus advance of a single burst (conflict + tFAW stall).
+        let delta = t.t_rc().max(t.t_faw) + t.t_rcd + t.t_cl + t.t_burst;
+        // Refresh steals t_rfc per t_refi; validate() guarantees the
+        // denominator is positive.
+        let refresh_stretch = 1.0 / (1.0 - t.t_rfc as f64 / t.t_refi as f64);
+
+        let mut cycles_lo = 0u64;
+        let mut cycles_hi = 0u64;
+        let mut act_lo = 0u64;
+        let mut act_hi = 0u64;
+        for (unit, &bursts) in self.unit_bursts.iter().enumerate() {
+            if bursts == 0 {
+                continue;
+            }
+            let bank_misses = &self.bank_misses[unit * banks..(unit + 1) * banks];
+            let base_misses: u64 = bank_misses.iter().sum();
+
+            // Lower bound: data-bus occupancy plus the first access's
+            // ACT-to-data latency...
+            let lo_bus = t.t_rcd + t.t_cl + bursts * t.t_burst;
+            // ...and the per-bank activation spacing (t_rc between ACTs).
+            let lo_bank = bank_misses
+                .iter()
+                .filter(|&&mis| mis > 0)
+                .map(|&mis| (mis - 1) * t.t_rc() + t.t_rcd + t.t_cl + t.t_burst)
+                .max()
+                .unwrap_or(0);
+            cycles_lo = cycles_lo.max(lo_bus.max(lo_bank));
+
+            // Upper bound: every burst pays the full conflict path, then
+            // the whole schedule is stretched by refresh; one extra t_rfc
+            // covers a refresh landing after the final burst's due
+            // computation.
+            let hi_u = ((bursts * delta) as f64 * refresh_stretch).ceil() as u64 + t.t_rfc;
+            cycles_hi = cycles_hi.max(hi_u);
+
+            // Activation interval (see module docs for the soundness
+            // argument).
+            act_lo += base_misses;
+            let refresh_hi = hi_u / t.t_refi;
+            act_hi += bursts.min(base_misses + refresh_hi.saturating_mul(banks as u64));
+        }
+
+        let cycles = Interval::new(cycles_lo as f64, cycles_hi as f64);
+        let elapsed = cycles.scale(t.t_ck.get());
+        let bytes_moved = self.bytes_read + self.bytes_written;
+        // trace_energy is monotone in all three arguments, so mapping the
+        // endpoints through it bounds the engine's energy.
+        let energy = &self.config.energy;
+        let energy_lo = energy.trace_energy(act_lo, bytes_moved, Seconds::new(elapsed.lo));
+        let energy_hi = energy.trace_energy(act_hi, bytes_moved, Seconds::new(elapsed.hi));
+
+        TraceBounds {
+            bytes_read: Interval::exact(self.bytes_read as f64),
+            bytes_written: Interval::exact(self.bytes_written as f64),
+            read_bursts: Interval::exact(self.read_bursts as f64),
+            write_bursts: Interval::exact(self.write_bursts as f64),
+            activations: Interval::new(act_lo as f64, act_hi as f64),
+            cycles,
+            elapsed,
+            energy: Interval::new(energy_lo.get(), energy_hi.get()),
+            unit_bursts: self.unit_bursts,
+        }
+    }
+}
+
+/// Derives certified bounds for `trace` on `config`: one
+/// [`BoundsWalk`] over every request.
 ///
 /// # Errors
 ///
@@ -126,127 +302,18 @@ pub fn trace_bounds(
     config: &MemoryConfig,
     trace: &TraceBuffer,
 ) -> Result<TraceBounds, mealib_types::ConfigError> {
-    config.validate()?;
-    let t = &config.timing;
-    let m = &config.mapping;
-    let units = m.units();
-    let banks = m.banks_per_unit();
-
-    let mut per_unit: Vec<UnitBounds> = (0..units)
-        .map(|_| UnitBounds {
-            rows: vec![None; banks],
-            bank_misses: vec![0; banks],
-            bursts: 0,
-            read_bursts: 0,
-            write_bursts: 0,
-        })
-        .collect();
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-
-    // The engine's burst splitting, verbatim: burst-aligned chunks.
+    let mut walk = BoundsWalk::new(config)?;
     for req in trace.iter() {
-        let mut remaining = req.bytes;
-        let mut addr = req.addr.get();
-        while remaining > 0 {
-            let offset_in_burst = addr % t.burst_bytes;
-            let take = (t.burst_bytes - offset_in_burst).min(remaining);
-            let loc = m.decode(PhysAddr::new(addr));
-            let u = &mut per_unit[loc.unit];
-            u.bursts += 1;
-            match req.op {
-                Op::Read => {
-                    u.read_bursts += 1;
-                    bytes_read += take;
-                }
-                Op::Write => {
-                    u.write_bursts += 1;
-                    bytes_written += take;
-                }
-            }
-            // Refresh-free row automaton: exact lower bound on misses.
-            if u.rows[loc.bank] != Some(loc.row) {
-                u.bank_misses[loc.bank] += 1;
-                u.rows[loc.bank] = Some(loc.row);
-            }
-            addr += take;
-            remaining -= take;
-        }
+        walk.push(req);
     }
-
-    // Worst-case bus advance of a single burst (conflict + tFAW stall).
-    let delta = t.t_rc().max(t.t_faw) + t.t_rcd + t.t_cl + t.t_burst;
-    // Refresh steals t_rfc per t_refi; validate() guarantees the
-    // denominator is positive.
-    let refresh_stretch = 1.0 / (1.0 - t.t_rfc as f64 / t.t_refi as f64);
-
-    let mut cycles_lo = 0u64;
-    let mut cycles_hi = 0u64;
-    let mut act_lo = 0u64;
-    let mut act_hi = 0u64;
-    for u in &per_unit {
-        if u.bursts == 0 {
-            continue;
-        }
-        let base_misses: u64 = u.bank_misses.iter().sum();
-
-        // Lower bound: data-bus occupancy plus the first access's
-        // ACT-to-data latency...
-        let lo_bus = t.t_rcd + t.t_cl + u.bursts * t.t_burst;
-        // ...and the per-bank activation spacing (t_rc between ACTs).
-        let lo_bank = u
-            .bank_misses
-            .iter()
-            .filter(|&&mis| mis > 0)
-            .map(|&mis| (mis - 1) * t.t_rc() + t.t_rcd + t.t_cl + t.t_burst)
-            .max()
-            .unwrap_or(0);
-        cycles_lo = cycles_lo.max(lo_bus.max(lo_bank));
-
-        // Upper bound: every burst pays the full conflict path, then the
-        // whole schedule is stretched by refresh; one extra t_rfc covers
-        // a refresh landing after the final burst's due computation.
-        let hi_u = ((u.bursts * delta) as f64 * refresh_stretch).ceil() as u64 + t.t_rfc;
-        cycles_hi = cycles_hi.max(hi_u);
-
-        // Activation interval (see module docs for the soundness
-        // argument).
-        act_lo += base_misses;
-        let refresh_hi = hi_u / t.t_refi;
-        act_hi += u
-            .bursts
-            .min(base_misses + refresh_hi.saturating_mul(banks as u64));
-    }
-
-    let cycles = Interval::new(cycles_lo as f64, cycles_hi as f64);
-    let elapsed = cycles.scale(t.t_ck.get());
-    let bytes_moved = bytes_read + bytes_written;
-    // trace_energy is monotone in all three arguments, so mapping the
-    // endpoints through it bounds the engine's energy.
-    let energy_lo = config
-        .energy
-        .trace_energy(act_lo, bytes_moved, Seconds::new(elapsed.lo));
-    let energy_hi = config
-        .energy
-        .trace_energy(act_hi, bytes_moved, Seconds::new(elapsed.hi));
-
-    Ok(TraceBounds {
-        bytes_read: Interval::exact(bytes_read as f64),
-        bytes_written: Interval::exact(bytes_written as f64),
-        read_bursts: Interval::exact(per_unit.iter().map(|u| u.read_bursts).sum::<u64>() as f64),
-        write_bursts: Interval::exact(per_unit.iter().map(|u| u.write_bursts).sum::<u64>() as f64),
-        activations: Interval::new(act_lo as f64, act_hi as f64),
-        cycles,
-        elapsed,
-        energy: Interval::new(energy_lo.get(), energy_hi.get()),
-        unit_bursts: per_unit.iter().map(|u| u.bursts).collect(),
-    })
+    Ok(walk.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self, Op, Request, SimOptions};
+    use crate::engine::{self, SimOptions};
+    use mealib_types::PhysAddr;
 
     fn check(config: &MemoryConfig, trace: &TraceBuffer) -> TraceBounds {
         let bounds = trace_bounds(config, trace).expect("valid config");

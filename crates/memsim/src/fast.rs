@@ -36,29 +36,24 @@
 //! # Run-granular decode
 //!
 //! Address decoding is the other per-burst cost, and it dominates once
-//! replay is batched. The decoder therefore splits each request into
-//! **runs** — maximal groups of consecutive bursts whose start
-//! addresses fall inside one contiguous `(unit, bank, row)` span, as
-//! advertised by [`AddressMapping::contiguous_run_bytes`] — and calls
-//! [`AddressMapping::decode`] once per run. Burst boundaries within a
-//! run are pure arithmetic (`t.burst_bytes`-aligned, like
-//! [`for_each_burst_tagged`]), so the concatenated runs reproduce the cycle
+//! replay is batched. The engine therefore consumes the trace as
+//! same-row **runs** from [`crate::runs::RunDecoder`] — the decoder the
+//! certified bounds walk shares — which calls
+//! [`AddressMapping::decode`] once per run and reproduces the cycle
 //! engine's per-unit burst sequence exactly: same bursts, same
 //! locations, same order. The replay then consumes runs whole in the
 //! streak scan and only rematerializes individual bursts on the slow
 //! path.
 //!
-//! [`AddressMapping::contiguous_run_bytes`]: crate::address::AddressMapping::contiguous_run_bytes
 //! [`AddressMapping::decode`]: crate::address::AddressMapping::decode
 
-use crate::address::AddressMapping;
 use crate::config::MemoryConfig;
 use crate::engine::{
     collect_timeline, finish_run, Burst, EngineRun, LatencyHistogram, Op, UnitEngine,
 };
+use crate::runs::{Run, RunDecoder};
 use crate::timing::DramTiming;
 use crate::trace::TraceBuffer;
-use mealib_types::PhysAddr;
 
 /// One unit's pre-decoded stream of same-row runs in SoA layout. The
 /// streak scan reads `bank`/`row`/`n`, the batch tally reads
@@ -85,6 +80,16 @@ struct UnitStream {
 impl UnitStream {
     fn runs(&self) -> usize {
         self.bank.len()
+    }
+
+    fn push(&mut self, run: &Run, write: bool) {
+        self.bank.push(run.loc.bank as u32);
+        self.row.push(run.loc.row);
+        self.col0.push(run.loc.col_byte);
+        self.head.push(run.head);
+        self.total.push(run.total);
+        self.n.push(run.bursts as u32);
+        self.write.push(write);
     }
 
     fn reserve(&mut self, runs: usize) {
@@ -180,122 +185,39 @@ pub(crate) fn run_fast(
     finish_run(config, units)
 }
 
-/// Splits the trace into same-row runs and routes each to its unit's
-/// stream. Decoding happens once per run (or once per aligned stretch
-/// of whole lines on the bulk path); the burst split inside a run is
-/// the same `t.burst_bytes`-aligned arithmetic as [`for_each_burst_tagged`],
-/// so per-unit burst order is preserved exactly.
+/// Splits the trace into same-row runs with the shared
+/// [`RunDecoder`] and routes each to its unit's stream. Runs of whole
+/// lines coalesce with a column-contiguous tail ([`push_run`]); the
+/// rest are appended as decoded, so per-unit burst order is preserved
+/// exactly.
 fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream> {
     let t = &config.timing;
-    let mapping = &config.mapping;
+    let decoder = RunDecoder::new(t, &config.mapping);
     let mut streams: Vec<UnitStream> = vec![
         UnitStream {
             burst_bytes: t.burst_bytes,
             ..UnitStream::default()
         };
-        mapping.units()
+        config.mapping.units()
     ];
-    // Bulk-path eligibility: within one super-line (`units *
-    // line_bytes`, line-aligned), every line has the same
-    // `within_unit` offset — hence the same bank, row, and column —
-    // and the lines land on `units` distinct units (the XOR unit fold
-    // keys on `line / units`, constant across the super-line, and is a
-    // permutation for power-of-two unit counts). One decode therefore
-    // covers a whole aligned stretch of lines; only the unit index
-    // varies, by the same fold `decode` applies.
-    let bulk = match *mapping {
-        AddressMapping::Interleaved {
-            units, line_bytes, ..
-        } if units > 1 && line_bytes % t.burst_bytes == 0 => {
-            Some((units as u64, line_bytes, false))
-        }
-        AddressMapping::XorInterleaved {
-            units, line_bytes, ..
-        } if units > 1 && units.is_power_of_two() && line_bytes % t.burst_bytes == 0 => {
-            Some((units as u64, line_bytes, true))
-        }
-        _ => None,
-    };
     // Upper-bound-ish run estimate: one run per decode granule of bulk
     // traffic plus one per request (scalar gathers), split across units.
     let units_n = streams.len() as u64;
-    let gran = bulk.map_or(t.burst_bytes, |(_, line_bytes, _)| line_bytes);
-    let est = (trace.total_bytes() / gran / units_n + trace.len() as u64 / units_n + 4) as usize;
+    let est = (trace.total_bytes() / decoder.granule() / units_n + trace.len() as u64 / units_n + 4)
+        as usize;
     for s in streams.iter_mut() {
         s.reserve(est);
     }
     let (addrs, bytes, ops) = (trace.addrs(), trace.bytes(), trace.ops());
     for i in 0..trace.len() {
-        let mut remaining = bytes[i];
-        let mut addr = addrs[i];
         let write = ops[i] == Op::Write;
-        while remaining > 0 {
-            if let Some((units, line_bytes, xor)) = bulk {
-                if addr % line_bytes == 0 && remaining >= line_bytes {
-                    let line = addr / line_bytes;
-                    let j0 = line % units;
-                    let m = (remaining / line_bytes).min(units - j0);
-                    let loc = mapping.decode(PhysAddr::new(addr));
-                    let nb = (line_bytes / t.burst_bytes) as u32;
-                    for j in 0..m {
-                        // The unit fold from `decode`, applied to line
-                        // `j0 + j` (same hash, same super-line).
-                        let unit = if xor {
-                            let hash = line / units;
-                            (((j0 + j) ^ hash) % units) as usize
-                        } else {
-                            (j0 + j) as usize
-                        };
-                        push_run(
-                            &mut streams[unit],
-                            t.burst_bytes,
-                            loc.bank as u32,
-                            loc.row,
-                            loc.col_byte,
-                            t.burst_bytes,
-                            line_bytes,
-                            nb,
-                            write,
-                        );
-                    }
-                    addr += m * line_bytes;
-                    remaining -= m * line_bytes;
-                    continue;
-                }
-            }
-            let loc = mapping.decode(PhysAddr::new(addr));
-            // First burst: up to the next burst-aligned boundary. It is
-            // attributed wholly to `loc` even if it extends past the
-            // span — exactly what the per-burst decode does, which
-            // decodes each burst at its *start* address.
-            let head = (t.burst_bytes - addr % t.burst_bytes).min(remaining);
-            // Further bursts join the run while their start addresses
-            // stay inside the span (and inside the request). A request
-            // that ends inside its first burst needs no span at all —
-            // the common case for scalar gathers.
-            let extra = if remaining > head {
-                let reach = mapping
-                    .contiguous_run_bytes(PhysAddr::new(addr))
-                    .min(remaining);
-                if reach > head {
-                    (reach - head).div_ceil(t.burst_bytes)
-                } else {
-                    0
-                }
+        for run in decoder.runs(addrs[i], bytes[i]) {
+            let s = &mut streams[run.loc.unit];
+            if run.whole_lines {
+                push_run(s, t.burst_bytes, &run, write);
             } else {
-                0
-            };
-            let total = remaining.min(head + extra * t.burst_bytes);
-            let s = &mut streams[loc.unit];
-            s.bank.push(loc.bank as u32);
-            s.row.push(loc.row);
-            s.col0.push(loc.col_byte);
-            s.head.push(head);
-            s.total.push(total);
-            s.n.push(1 + extra as u32);
-            s.write.push(write);
-            addr += total;
-            remaining -= total;
+                s.push(&run, write);
+            }
         }
     }
     streams
@@ -307,38 +229,21 @@ fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream>
 /// the appended run starting burst-aligned. (The bulk decode path
 /// always satisfies the alignment conditions — its runs are whole
 /// lines — so pure streams coalesce into row-length runs.)
-#[allow(clippy::too_many_arguments)]
-fn push_run(
-    s: &mut UnitStream,
-    burst_bytes: u64,
-    bank: u32,
-    row: u64,
-    col0: u64,
-    head: u64,
-    total: u64,
-    n: u32,
-    write: bool,
-) {
+fn push_run(s: &mut UnitStream, burst_bytes: u64, run: &Run, write: bool) {
     if let Some(last) = s.runs().checked_sub(1) {
-        if s.bank[last] == bank
-            && s.row[last] == row
+        if s.bank[last] == run.loc.bank as u32
+            && s.row[last] == run.loc.row
             && s.write[last] == write
-            && s.col0[last] + s.total[last] == col0
+            && s.col0[last] + s.total[last] == run.loc.col_byte
             && s.total[last] == s.head[last] + u64::from(s.n[last] - 1) * burst_bytes
-            && head == burst_bytes
+            && run.head == burst_bytes
         {
-            s.total[last] += total;
-            s.n[last] += n;
+            s.total[last] += run.total;
+            s.n[last] += run.bursts as u32;
             return;
         }
     }
-    s.bank.push(bank);
-    s.row.push(row);
-    s.col0.push(col0);
-    s.head.push(head);
-    s.total.push(total);
-    s.n.push(n);
-    s.write.push(write);
+    s.push(run, write);
 }
 
 /// Replays one unit's run stream with streak batching. The cursor
@@ -457,6 +362,7 @@ fn replay_unit(t: &DramTiming, banks: usize, stream: &UnitStream) -> UnitEngine 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::AddressMapping;
     use crate::engine::{
         for_each_burst_tagged, sequential_trace, simulate, strided_trace, EngineKind, Request,
         SimOptions,

@@ -13,6 +13,8 @@
 //!   [`engine::simulate`] entry point: a cycle-accurate oracle and a
 //!   bit-exact event-driven epoch-skipping fast engine, replaying SoA
 //!   [`trace::TraceBuffer`] request traces;
+//! * [`runs`] — the request → same-row run decoder shared by the fast
+//!   engine and the certified [`bounds`] walk;
 //! * [`pattern::AccessPattern`] + [`analytic`] — closed-form estimates of
 //!   the same quantities for the regular streams accelerators generate,
 //!   validated against the cycle engine in tests;
@@ -43,6 +45,7 @@ pub mod energy;
 pub mod engine;
 mod fast;
 pub mod pattern;
+pub mod runs;
 pub mod stats;
 pub mod tenancy;
 pub mod timing;

@@ -331,13 +331,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar from the remaining input.
+                    // Consume the whole run of plain bytes up to the next
+                    // quote or backslash, validating it once. Both
+                    // delimiters are ASCII, so a run never splits a
+                    // multi-byte scalar.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| {
+                        format!("invalid UTF-8 at byte {}", self.pos + e.valid_up_to())
+                    })?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
                 None => return Err("unterminated string".to_string()),
             }
@@ -405,6 +412,42 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("123 45").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_one_pass() {
+        // ~4 MiB of mixed one- to four-byte scalars with escapes
+        // sprinkled through: a per-character rescan of the remaining
+        // input would take minutes here.
+        let chunk = "plain ascii é ü 日本語 🦀 ";
+        let mut want = String::new();
+        let mut doc = String::from("{\"k\":\"");
+        while want.len() < 4 << 20 {
+            want.push_str(chunk);
+            want.push_str("\"\\\n\u{e9}");
+            doc.push_str(chunk);
+            doc.push_str("\\\"\\\\\\n\\u00e9");
+        }
+        doc.push_str("\"}");
+        let started = std::time::Instant::now();
+        let v = parse(&doc).expect("valid");
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(want.as_str()));
+        assert!(started.elapsed().as_secs() < 20, "parse is not linear");
+    }
+
+    #[test]
+    fn invalid_utf8_is_reported_at_its_byte() {
+        // `parse` takes `&str`, so only the byte-level parser can see
+        // invalid UTF-8; the error must name the offending byte, not
+        // the start of the string.
+        let bytes = b"\"ok \xc3\xa9 then \xff bad\"";
+        let mut p = Parser { bytes, pos: 0 };
+        let err = p.value().expect_err("invalid UTF-8");
+        assert_eq!(err, "invalid UTF-8 at byte 12");
+        // A truncated multi-byte scalar right before the closing quote.
+        let bytes = b"[\"a\\n\xe6\x97\"]";
+        let mut p = Parser { bytes, pos: 0 };
+        assert_eq!(p.value().unwrap_err(), "invalid UTF-8 at byte 5");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use mealib_types::{AddrRange, ErrorCode};
-use mealib_verify::dataflow::parse_session;
 use mealib_verify::interference::compose;
 use mealib_verify::BoundsEnv;
 use mealib_workloads::sessions::{pipeline_sessions, session_span};
@@ -71,9 +70,7 @@ impl Catalogue {
                 .expect("catalogue sessions parse");
             let bounds = compose(&set, env).expect("preset env validates");
             let t = &bounds.tenants[0];
-            let session = parse_session(&body).expect("catalogue sessions parse");
-            let e = mealib_verify::bounds::elaborate(&session);
-            let trace_bytes = e.trace.total_bytes();
+            let trace_bytes = t.total_bytes() as u64;
             classes.insert(
                 name.clone(),
                 SessionClass {
@@ -254,6 +251,18 @@ mod tests {
         }
         assert!(cat.get("stap-tiny").is_some());
         assert!(cat.get("no-such-class").is_none());
+    }
+
+    #[test]
+    fn catalogue_trace_bytes_equal_the_elaborated_body() {
+        // The catalogue reads each class's bytes off its composed solo
+        // bounds; they must be exactly what the body elaborates to.
+        let cat = Catalogue::standard(&BoundsEnv::default());
+        for class in cat.classes() {
+            let session = mealib_verify::dataflow::parse_session(&class.body).unwrap();
+            let e = mealib_verify::bounds::elaborate(&session);
+            assert_eq!(class.trace_bytes, e.trace.total_bytes(), "{}", class.name);
+        }
     }
 
     #[test]

@@ -118,6 +118,19 @@ fn parse_extent_number(tok: &str, line: usize) -> Result<u64, ParseError> {
     parsed.map_err(|_| directive_err("a decimal or 0x-prefixed address", tok, line))
 }
 
+/// The range `[base, base + len)`, or a typed error when it wraps the
+/// 64-bit address space.
+pub(crate) fn extent(base: u64, len: u64, raw: &str, line: usize) -> Result<AddrRange, ParseError> {
+    if base.checked_add(len).is_none() {
+        return Err(directive_err(
+            "an extent inside the 64-bit address space",
+            raw,
+            line,
+        ));
+    }
+    Ok(AddrRange::new(PhysAddr::new(base), Bytes::new(len)))
+}
+
 fn parse_budget_number(tok: &str, line: usize) -> Result<f64, ParseError> {
     match tok.parse::<f64>() {
         Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
@@ -168,10 +181,7 @@ pub fn parse_session(src: &str) -> Result<Session, ParseError> {
             ["BUF", name, base, len] => {
                 let base = parse_extent_number(base, line)?;
                 let len = parse_extent_number(len, line)?;
-                extents.insert(
-                    (*name).to_string(),
-                    AddrRange::new(PhysAddr::new(base), Bytes::new(len)),
-                );
+                extents.insert((*name).to_string(), extent(base, len, raw, line)?);
             }
             ["BUF", ..] => return Err(directive_err("BUF <name> <base> <len>", raw, line)),
             ["BUDGET", "TIME", v] => {

@@ -35,6 +35,21 @@
 //!   `trace_energy` is monotone in all three arguments, so mapping the
 //!   interval endpoints through it is sound.
 //!
+//! # Cost: one pass
+//!
+//! [`compose`] elaborates each tenant once and walks the merged trace
+//! once, as same-row runs ([`BoundsWalk`]): one tally per run for the
+//! set-level bounds, the same run credited to its tenant's own bytes,
+//! bursts, and per-unit bursts through the walk's run hook, and one
+//! snapshot per tenant of the walk's per-unit burst count right after
+//! the tenant's last request — exactly the prefix occupancy a separate
+//! walk over that merged prefix would count. The cost is O(runs) for
+//! the whole set, independent of the tenant count. The
+//! `compose_reference` tests rebuild the same numbers from 2N+1
+//! separate [`mealib_memsim::bounds::trace_bounds`] walks (merged
+//! trace, each own trace, each merged prefix) and hold the two
+//! bit-identical.
+//!
 //! The `interference_soundness` differential harness replays every
 //! corpus manifest and random mix through
 //! [`mealib_memsim::simulate_tenants`] and asserts
@@ -43,13 +58,12 @@
 //! [`interleave_tenants`]: mealib_memsim::interleave_tenants
 
 use mealib_accel::power;
-use mealib_memsim::bounds::{trace_bounds, TraceBounds};
-use mealib_memsim::{interleave_tenants, MemoryConfig, TenantStream, TraceBuffer};
-use mealib_types::{BytesPerSec, ConfigError, Interval, Seconds};
+use mealib_memsim::bounds::{BoundsWalk, TraceBounds};
+use mealib_memsim::{interleave_tenants, MemoryConfig, Op, TenantStream};
+use mealib_types::{BytesPerSec, ConfigError, Interval, PhysAddr, Seconds};
 
 use super::manifest::SessionSet;
-use crate::bounds::elaborate;
-use crate::bounds::BoundsEnv;
+use crate::bounds::{elaborate, BoundsEnv, Elaboration};
 use crate::dataflow::{Budgets, MemLayer};
 
 /// Certified composed bounds for one tenant of a session set.
@@ -87,6 +101,11 @@ impl TenantBounds {
     /// Total own bursts (exact).
     pub fn total_bursts(&self) -> f64 {
         self.read_bursts.lo + self.write_bursts.lo
+    }
+
+    /// Total own bytes, read plus written (exact).
+    pub fn total_bytes(&self) -> f64 {
+        self.bytes_read.lo + self.bytes_written.lo
     }
 }
 
@@ -143,8 +162,29 @@ pub fn tenant_streams(set: &SessionSet) -> Vec<TenantStream> {
         .collect()
 }
 
+/// One tenant's exact own-traffic tallies, gathered during the single
+/// walk over the merged trace.
+#[derive(Debug, Clone, Default)]
+struct OwnTally {
+    bytes_read: u64,
+    bytes_written: u64,
+    read_bursts: u64,
+    write_bursts: u64,
+    /// Own bursts per unit.
+    unit_bursts: Vec<u64>,
+    /// Merged-prefix bursts on the unit of the tenant's final byte,
+    /// snapshot right after its last request.
+    prefix_bursts: Option<u64>,
+}
+
 /// Derives the composed set and per-tenant bounds for `set` under
 /// `env`.
+///
+/// Each tenant is elaborated once, and the merged trace is walked once
+/// ([`BoundsWalk`]): the walk yields the set-level bounds, its per-run
+/// hook tallies each tenant's own bytes and bursts, and the prefix
+/// occupancy of every tenant is the walk's per-unit burst count read
+/// right after that tenant's last request.
 ///
 /// # Errors
 ///
@@ -152,40 +192,73 @@ pub fn tenant_streams(set: &SessionSet) -> Vec<TenantStream> {
 /// fails validation; unreachable with [`BoundsEnv`]'s presets.
 pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigError> {
     let cfg = resolved_set_config(set, env);
-    let streams = tenant_streams(set);
+    let mut elaborated: Vec<Elaboration> =
+        set.tenants.iter().map(|t| elaborate(&t.session)).collect();
+    let streams: Vec<TenantStream> = elaborated
+        .iter_mut()
+        .zip(&set.tenants)
+        .map(|(e, t)| TenantStream {
+            trace: std::mem::take(&mut e.trace),
+            arrival: t.arrival,
+        })
+        .collect();
     let (merged, tags) = interleave_tenants(&streams);
-    let set_tb = trace_bounds(&cfg, &merged)?;
+    drop(streams);
+
+    let mut last = vec![None; set.tenants.len()];
+    for (pos, &tag) in tags.iter().enumerate() {
+        last[tag as usize] = Some(pos);
+    }
+    let mut own = vec![
+        OwnTally {
+            unit_bursts: vec![0; cfg.mapping.units()],
+            ..OwnTally::default()
+        };
+        set.tenants.len()
+    ];
+    let mut walk = BoundsWalk::new(&cfg)?;
+    for (pos, req) in merged.iter().enumerate() {
+        let i = tags[pos] as usize;
+        let o = &mut own[i];
+        let write = req.op == Op::Write;
+        if write {
+            o.bytes_written += req.bytes;
+        } else {
+            o.bytes_read += req.bytes;
+        }
+        walk.push_with(req, |run| {
+            o.unit_bursts[run.loc.unit] += run.bursts;
+            if write {
+                o.write_bursts += run.bursts;
+            } else {
+                o.read_bursts += run.bursts;
+            }
+        });
+        if last[i] == Some(pos) {
+            let final_byte = req.addr.get() + req.bytes.saturating_sub(1);
+            let u_final = cfg.mapping.decode(PhysAddr::new(final_byte)).unit;
+            o.prefix_bursts = Some(walk.unit_bursts()[u_final]);
+        }
+    }
+    let set_tb = walk.finish();
     let t_ck = cfg.timing.t_ck.get();
     let t_burst = cfg.timing.t_burst as f64;
     let cold = (cfg.timing.t_rcd + cfg.timing.t_cl) as f64;
 
     let mut tenants = Vec::with_capacity(set.tenants.len());
-    for (i, decl) in set.tenants.iter().enumerate() {
-        let e = elaborate(&decl.session);
-        let own_tb = trace_bounds(&cfg, &streams[i].trace)?;
-        let own_bursts = own_tb.read_bursts.lo + own_tb.write_bursts.lo;
+    for ((decl, e), o) in set.tenants.iter().zip(elaborated).zip(own) {
+        let own_bursts = o.read_bursts as f64 + o.write_bursts as f64;
 
         // Bus-occupancy floor from the tenant's own traffic: its last
         // burst on the busiest unit waits for all its own bursts there.
-        let own_occ = own_tb.unit_bursts.iter().copied().max().unwrap_or(0) as f64 * t_burst;
+        let own_occ = o.unit_bursts.iter().copied().max().unwrap_or(0) as f64 * t_burst;
 
         // Interference-aware refinement: the final burst of the
         // tenant's last merged request is issued after every burst of
         // the merged prefix ending at that request, so it serializes
         // behind every prefix burst on its own unit — and the first
         // burst on that unit pays the cold activation.
-        let mut prefix_occ = 0.0f64;
-        if let Some(pos) = tags.iter().rposition(|&t| t as usize == i) {
-            let last = merged.get(pos).expect("tag position in bounds");
-            let final_byte = last.addr.get() + last.bytes.saturating_sub(1);
-            let u_final = cfg
-                .mapping
-                .decode(mealib_types::PhysAddr::new(final_byte))
-                .unit;
-            let prefix: TraceBuffer = merged.iter().take(pos + 1).collect();
-            let prefix_tb = trace_bounds(&cfg, &prefix)?;
-            prefix_occ = cold + prefix_tb.unit_bursts[u_final] as f64 * t_burst;
-        }
+        let prefix_occ = o.prefix_bursts.map_or(0.0, |n| cold + n as f64 * t_burst);
 
         let cycles = if own_bursts == 0.0 {
             Interval::ZERO
@@ -193,7 +266,7 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
             Interval::new(own_occ.max(prefix_occ), set_tb.cycles.hi)
         };
         let elapsed = Interval::new(cycles.lo * t_ck, set_tb.elapsed.hi.min(cycles.hi * t_ck));
-        let own_bytes = (own_tb.bytes_read.lo + own_tb.bytes_written.lo) as u64;
+        let own_bytes = (o.bytes_read as f64 + o.bytes_written as f64) as u64;
         let energy = if own_bursts == 0.0 {
             Interval::ZERO
         } else {
@@ -225,10 +298,10 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
 
         tenants.push(TenantBounds {
             name: decl.name.clone(),
-            bytes_read: own_tb.bytes_read,
-            bytes_written: own_tb.bytes_written,
-            read_bursts: own_tb.read_bursts,
-            write_bursts: own_tb.write_bursts,
+            bytes_read: Interval::exact(o.bytes_read as f64),
+            bytes_written: Interval::exact(o.bytes_written as f64),
+            read_bursts: Interval::exact(o.read_bursts as f64),
+            write_bursts: Interval::exact(o.write_bursts as f64),
             activations: Interval::new(0.0, own_bursts),
             cycles,
             elapsed,
@@ -252,6 +325,7 @@ pub fn compose(set: &SessionSet, env: &BoundsEnv) -> Result<SetBounds, ConfigErr
 mod tests {
     use super::*;
     use crate::interference::manifest::parse_session_set;
+    use mealib_memsim::bounds::trace_bounds;
     use mealib_memsim::{simulate_tenants, SimOptions};
 
     fn two_tenant_set() -> SessionSet {

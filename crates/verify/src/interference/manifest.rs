@@ -31,8 +31,9 @@
 //! [`parse_session`]: crate::dataflow::parse_session
 
 use mealib_tdl::ParseError;
-use mealib_types::{AddrRange, Bytes, PhysAddr};
+use mealib_types::AddrRange;
 
+use crate::dataflow::session::extent;
 use crate::dataflow::{Budgets, MemLayer, Session};
 
 /// One tenant's slice of the manifest.
@@ -137,7 +138,7 @@ pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
                 if len == 0 {
                     return Err(directive_err("a non-empty partition", raw, line));
                 }
-                t.partition = Some((line, AddrRange::new(PhysAddr::new(base), Bytes::new(len))));
+                t.partition = Some((line, extent(base, len, raw, line)?));
                 t.body.push('\n');
             }
             ["PARTITION", ..] => {

@@ -115,7 +115,13 @@ impl Certification {
 /// Propagates a [`ConfigError`] if the shared memory configuration
 /// fails validation; unreachable with [`BoundsEnv`]'s presets.
 pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, ConfigError> {
-    let bounds = compose(set, env)?;
+    Ok(certify_bounds(set, compose(set, env)?))
+}
+
+/// Runs the MEA3xx passes over `set` judged by already-composed
+/// `bounds` (what [`certify_set`] does after [`compose`]) and derives
+/// the admission verdict.
+pub fn certify_bounds(set: &SessionSet, bounds: SetBounds) -> Certification {
     let mut report = Report::new();
     passes::check_partitions(set, &mut report);
     passes::check_bus(&bounds, &mut report);
@@ -129,11 +135,11 @@ pub fn certify_set(set: &SessionSet, env: &BoundsEnv) -> Result<Certification, C
     } else {
         Verdict::Unknown
     };
-    Ok(Certification {
+    Certification {
         verdict,
         report,
         bounds,
-    })
+    }
 }
 
 /// `true` when the *upper* bounds prove the set safe: every tenant has

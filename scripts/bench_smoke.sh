@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Bench smoke: run every mealib-bench harness at reduced sizes with
 # --json, validate that each summary parses, and collect the records
-# into a schema-v1 BENCH file (default BENCH_pr9.json) — the
+# into a schema-v1 BENCH file (default BENCH_pr12.json) — the
 # perf-trajectory data point for this PR. Each record carries the
 # harness's wall time as `wall_s`.
 #
@@ -17,7 +17,7 @@
 #     at least 30% of the grid simulations while every Pareto-frontier
 #     metric stays exactly equal to the full sweep's;
 #   * the perf gate: when a baseline BENCH file exists (BASE env var,
-#     default BENCH_pr7.json), `meaperf BASE OUT --wall-report-only`
+#     default BENCH_pr10.json), `meaperf BASE OUT --wall-report-only`
 #     must pass — modeled metrics gate hard, wall metrics (noisy on a
 #     1-CPU container) are report-only;
 #   * the dual-engine floor: `meaperf --min` requires the fast engine's
@@ -39,12 +39,17 @@
 #   * the telemetry floors: serve_traffic's slo_conformance and
 #     certified_bounds_conformance must both stay exactly 1 — no SLO
 #     burned its error budget and no windowed observation escaped its
-#     MEA3xx certified interval, baseline or not.
+#     MEA3xx certified interval, baseline or not;
+#   * certification at real sizes: serve_traffic also runs over the full
+#     class catalogue (no --small, --epochs 4), recorded as
+#     `serve_traffic_full`, so every admission call certifies the large
+#     sessions the --small mix leaves out; its admission_soundness is
+#     floored at 1 like the small record's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_pr10.json}"
-BASE="${BASE:-BENCH_pr9.json}"
+OUT="${1:-BENCH_pr12.json}"
+BASE="${BASE:-BENCH_pr10.json}"
 JQ="$(command -v jq || true)"
 
 echo "==> cargo build --release -p mealib-bench --bins"
@@ -94,6 +99,18 @@ for bin in "${BINS[@]}"; do
   # Attach the harness wall time to the record (schema v1 field).
   echo "${line%\}},\"wall_s\":${wall}}" >> "$records"
 done
+
+# Full catalogue at a few epochs: the certify path at the sizes where
+# its cost lives. A distinct bench name keeps it apart from the --small
+# record in the perf gate.
+echo "==> serve_traffic --json --epochs 4 (full catalogue)"
+t0="$(now_ns)"
+line="$(./target/release/serve_traffic --json --epochs 4 | tail -n 1)"
+wall="$(elapsed_s "$t0" "$(now_ns)")"
+line="${line/\"bench\":\"serve_traffic\"/\"bench\":\"serve_traffic_full\"}"
+[[ "$line" == *'"bench":"serve_traffic_full"'* ]] \
+  || { echo "error: full-size serve_traffic summary failed validation: $line" >&2; exit 1; }
+echo "${line%\}},\"wall_s\":${wall}}" >> "$records"
 
 echo "==> fig14_breakdown --small --trace (JSONL validation)"
 trace="$tmpdir/fig14_trace.jsonl"
@@ -196,7 +213,8 @@ MIN_FLOORS=(--min "engine_throughput.fast_over_cycle=5"
             --min "tenant_mix.verdict_correctness=1"
             --min "serve_traffic.admission_soundness=1"
             --min "serve_traffic.slo_conformance=1"
-            --min "serve_traffic.certified_bounds_conformance=1")
+            --min "serve_traffic.certified_bounds_conformance=1"
+            --min "serve_traffic_full.admission_soundness=1")
 if [[ -f "$BASE" && "$BASE" != "$OUT" ]]; then
   echo "==> meaperf $BASE $OUT (modeled metrics gate hard; wall report-only; floors)"
   ./target/release/meaperf --wall-report-only "${MIN_FLOORS[@]}" "$BASE" "$OUT" \
