@@ -22,23 +22,6 @@ use crate::stats::TraceStats;
 /// Estimates the timing, row-buffer, and energy statistics of `pattern`
 /// on the device described by `config`.
 ///
-/// # Panics
-///
-/// Panics if `config` fails validation, which makes it unusable for
-/// lint-time evaluation of arbitrary configurations — the bounds
-/// analyzer and every in-tree caller go through [`try_estimate`]
-/// instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on configs try_estimate rejects; call try_estimate and handle the ConfigError"
-)]
-pub fn estimate(config: &MemoryConfig, pattern: &AccessPattern) -> TraceStats {
-    try_estimate(config, pattern).unwrap_or_else(|e| panic!("invalid memory configuration: {e}"))
-}
-
-/// Like [`estimate`], but reports an invalid configuration as a typed
-/// error instead of panicking.
-///
 /// # Errors
 ///
 /// Returns the first [`mealib_types::ConfigError`] found in `config`.
@@ -289,12 +272,6 @@ mod tests {
     use super::*;
     use crate::engine::{self, Op};
 
-    /// Shadows the deprecated panicking entry point: every test config
-    /// validates, so the typed error path is just unwrapped.
-    fn estimate(config: &MemoryConfig, pattern: &AccessPattern) -> TraceStats {
-        try_estimate(config, pattern).expect("test configs validate")
-    }
-
     fn single_channel_config() -> MemoryConfig {
         let mut c = MemoryConfig::ddr_dual_channel();
         c.mapping = crate::address::AddressMapping::Interleaved {
@@ -314,7 +291,7 @@ mod tests {
     fn sequential_estimate_matches_engine() {
         let c = single_channel_config();
         let bytes = 4u64 << 20;
-        let est = estimate(&c, &AccessPattern::sequential_read(bytes));
+        let est = try_estimate(&c, &AccessPattern::sequential_read(bytes)).unwrap();
         let trace = engine::sequential_trace(0, bytes, 64, Op::Read);
         let sim = engine::simulate(&c, &trace, &engine::SimOptions::dual_check())
             .unwrap()
@@ -335,7 +312,7 @@ mod tests {
     #[test]
     fn strided_estimate_matches_engine() {
         let c = single_channel_config();
-        let est = estimate(
+        let est = try_estimate(
             &c,
             &AccessPattern::Strided {
                 stride: 8192,
@@ -343,7 +320,8 @@ mod tests {
                 count: 4096,
                 write: false,
             },
-        );
+        )
+        .unwrap();
         let trace = engine::strided_trace(0, 8192, 64, 4096, Op::Read);
         let sim = engine::simulate(&c, &trace, &engine::SimOptions::dual_check())
             .unwrap()
@@ -358,7 +336,7 @@ mod tests {
     fn hmc_sequential_estimate_matches_engine() {
         let c = MemoryConfig::hmc_stack();
         let bytes = 32u64 << 20;
-        let est = estimate(&c, &AccessPattern::sequential_read(bytes));
+        let est = try_estimate(&c, &AccessPattern::sequential_read(bytes)).unwrap();
         let trace = engine::sequential_trace(0, bytes, 256, Op::Read);
         let sim = engine::simulate(&c, &trace, &engine::SimOptions::dual_check())
             .unwrap()
@@ -370,7 +348,7 @@ mod tests {
     #[test]
     fn sequential_read_hits_peak_bandwidth_at_scale() {
         let c = MemoryConfig::hmc_stack();
-        let s = estimate(&c, &AccessPattern::sequential_read(1 << 30));
+        let s = try_estimate(&c, &AccessPattern::sequential_read(1 << 30)).unwrap();
         let frac = s.achieved_bandwidth().get() / c.peak_bandwidth().get();
         assert!(frac > 0.95, "large stream should saturate: {frac}");
     }
@@ -379,7 +357,7 @@ mod tests {
     fn strided_walk_on_interleave_multiple_uses_one_unit() {
         // Stride = line * units keeps hitting the same channel.
         let c = MemoryConfig::ddr_dual_channel(); // 2 units, 64B lines
-        let narrow = estimate(
+        let narrow = try_estimate(
             &c,
             &AccessPattern::Strided {
                 stride: 128,
@@ -387,8 +365,9 @@ mod tests {
                 count: 65536,
                 write: false,
             },
-        );
-        let spread = estimate(
+        )
+        .unwrap();
+        let spread = try_estimate(
             &c,
             &AccessPattern::Strided {
                 stride: 192,
@@ -396,7 +375,8 @@ mod tests {
                 count: 65536,
                 write: false,
             },
-        );
+        )
+        .unwrap();
         assert!(
             narrow.elapsed.get() > 1.5 * spread.elapsed.get(),
             "stride aliasing to one channel must be slower: {} vs {}",
@@ -409,15 +389,16 @@ mod tests {
     fn random_gather_is_slower_than_sequential() {
         let c = MemoryConfig::hmc_stack();
         let n = 1u64 << 22; // 4M gathers of 4B
-        let gather = estimate(
+        let gather = try_estimate(
             &c,
             &AccessPattern::Random {
                 elem_bytes: 4,
                 count: n,
                 region_bytes: 1 << 30,
             },
-        );
-        let seq = estimate(&c, &AccessPattern::sequential_read(4 * n));
+        )
+        .unwrap();
+        let seq = try_estimate(&c, &AccessPattern::sequential_read(4 * n)).unwrap();
         assert!(gather.elapsed.get() > 4.0 * seq.elapsed.get());
         assert!(gather.row_hit_rate().unwrap() < 0.2);
     }
@@ -425,15 +406,16 @@ mod tests {
     #[test]
     fn then_composes_sequentially() {
         let c = MemoryConfig::hmc_stack();
-        let a = estimate(&c, &AccessPattern::sequential_read(1 << 20));
-        let b = estimate(&c, &AccessPattern::sequential_write(1 << 20));
-        let both = estimate(
+        let a = try_estimate(&c, &AccessPattern::sequential_read(1 << 20)).unwrap();
+        let b = try_estimate(&c, &AccessPattern::sequential_write(1 << 20)).unwrap();
+        let both = try_estimate(
             &c,
             &AccessPattern::Then(vec![
                 AccessPattern::sequential_read(1 << 20),
                 AccessPattern::sequential_write(1 << 20),
             ]),
-        );
+        )
+        .unwrap();
         let sum = a.elapsed + b.elapsed;
         assert!((both.elapsed.get() - sum.get()).abs() < 1e-12);
         assert_eq!(both.bytes_read.get(), 1 << 20);
@@ -458,7 +440,7 @@ mod tests {
             },
             AccessPattern::Then(vec![]),
         ] {
-            let s = estimate(&c, &p);
+            let s = try_estimate(&c, &p).unwrap();
             assert_eq!(s.bytes_moved(), Bytes::ZERO, "{p:?}");
             assert!(s.elapsed.is_zero(), "{p:?}");
         }
@@ -531,20 +513,22 @@ mod tests {
     fn then_with_invalid_part_shape_still_sums_validated_parts() {
         // Nested Then patterns price identically to their flattening.
         let c = MemoryConfig::hmc_stack();
-        let flat = estimate(
+        let flat = try_estimate(
             &c,
             &AccessPattern::Then(vec![
                 AccessPattern::sequential_read(1 << 20),
                 AccessPattern::sequential_write(1 << 20),
             ]),
-        );
-        let nested = estimate(
+        )
+        .unwrap();
+        let nested = try_estimate(
             &c,
             &AccessPattern::Then(vec![AccessPattern::Then(vec![
                 AccessPattern::sequential_read(1 << 20),
                 AccessPattern::sequential_write(1 << 20),
             ])]),
-        );
+        )
+        .unwrap();
         assert_eq!(flat.bytes_moved(), nested.bytes_moved());
         assert!((flat.elapsed.get() - nested.elapsed.get()).abs() < 1e-12);
     }

@@ -8,8 +8,8 @@
 //! and asks [`certify_set`] for a verdict. The scheduler never admits
 //! on its own authority: ADMIT means the certifier *proved* isolation
 //! and every declared ceiling, REJECT comes with the MEA3xx proof
-//! attached, and UNKNOWN is handled by a configurable — but always
-//! conservative — policy: retry later or shed, never admit.
+//! attached, and UNKNOWN is never admitted: the scheduler retries it
+//! in a later batch and sheds it once the retry budget is spent.
 
 use mealib_verify::interference::{certify_set, parse_session_set, Certification, SessionSet};
 use mealib_verify::BoundsEnv;
@@ -18,19 +18,6 @@ use mealib_workloads::sessions::rebase_session;
 use mealib_types::AddrRange;
 
 use crate::session::SessionRequest;
-
-/// What to do with a candidate the certifier cannot decide on.
-/// Both options are conservative: UNKNOWN never admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UnknownPolicy {
-    /// Re-queue with backoff; the candidate may certify in a later,
-    /// smaller batch (the default).
-    #[default]
-    Retry,
-    /// Shed immediately with
-    /// [`ShedReason::Undecidable`](crate::ShedReason::Undecidable).
-    Shed,
-}
 
 /// One candidate (or already-accepted member) of an epoch batch.
 #[derive(Debug, Clone, PartialEq)]

@@ -56,8 +56,7 @@ pub enum DecisionEvent {
         /// 1-based attempt that failed.
         attempt: u32,
     },
-    /// UNKNOWN verdict under the retry policy: parked for a smaller
-    /// batch later.
+    /// Non-terminal UNKNOWN verdict: parked for a smaller batch later.
     UnknownRetry {
         /// Epoch of the decision.
         epoch: u64,
@@ -68,8 +67,7 @@ pub enum DecisionEvent {
         /// 1-based attempt that was undecidable.
         attempt: u32,
     },
-    /// Policy shed after one or more admission attempts
-    /// (undecidable under the shed policy, or retries exhausted).
+    /// Shed after the retry budget ran out on UNKNOWN verdicts.
     ShedPolicy {
         /// Epoch of the decision.
         epoch: u64,
@@ -148,15 +146,20 @@ impl DecisionEvent {
         }
     }
 
-    /// `true` for the three variants that dispose a session as shed.
-    pub fn is_shed(&self) -> bool {
-        matches!(
-            self,
-            DecisionEvent::ShedPolicy { .. }
-                | DecisionEvent::ShedSlot { .. }
-                | DecisionEvent::ShedQueueFull { .. }
-                | DecisionEvent::ShedDrain { .. }
-        )
+    /// Why the session was shed, for the variants that dispose it as
+    /// shed; `None` otherwise. The one place a shed event maps to its
+    /// [`ShedReason`].
+    pub fn shed_reason(&self) -> Option<ShedReason> {
+        match *self {
+            DecisionEvent::ShedPolicy { reason, .. } => Some(reason),
+            DecisionEvent::ShedSlot { .. } => Some(ShedReason::Undecidable),
+            DecisionEvent::ShedQueueFull { .. } => Some(ShedReason::QueueFull),
+            DecisionEvent::ShedDrain { .. } => Some(ShedReason::DrainDeadline),
+            DecisionEvent::Admit { .. }
+            | DecisionEvent::Reject { .. }
+            | DecisionEvent::Backoff { .. }
+            | DecisionEvent::UnknownRetry { .. } => None,
+        }
     }
 
     /// Renders the decision as one JSON object via `mealib-obs::json`.
@@ -388,7 +391,7 @@ mod tests {
         assert_eq!(ev.epoch(), 4);
         assert_eq!(ev.id(), 6);
         assert_eq!(ev.kind(), "shed_queue_full");
-        assert!(ev.is_shed());
+        assert_eq!(ev.shed_reason(), Some(ShedReason::QueueFull));
         let adm = DecisionEvent::Admit {
             epoch: 0,
             id: 0,
@@ -397,6 +400,6 @@ mod tests {
             part_len: 0,
             attempt: 1,
         };
-        assert!(!adm.is_shed());
+        assert_eq!(adm.shed_reason(), None);
     }
 }

@@ -12,8 +12,15 @@
 //! and replayed through the tagged interleaved engine for exact
 //! per-tenant attribution ([`scheduler`]). REJECT verdicts retry with
 //! exponential backoff until their MEA3xx proof terminalizes them;
-//! UNKNOWN verdicts follow a configurable conservative policy and are
-//! never admitted.
+//! UNKNOWN verdicts retry the same way, are shed once the retry budget
+//! is spent, and are never admitted. The scheduler holds only that
+//! policy: a private ledger records each arrival, [`DecisionEvent`],
+//! replay and completion once, deriving the report rows and feeding
+//! the optional [`telemetry`] from the same call.
+//!
+//! Two entry points: [`serve`] returns the [`ServeReport`];
+//! [`serve_with_telemetry`] also returns the [`TelemetryReport`] and
+//! emits host spans into an `Obs` recorder.
 //!
 //! Everything is a pure function of (catalogue, traffic spec, config,
 //! environment): the same seed reproduces the same admission
@@ -28,6 +35,7 @@
 pub mod admission;
 pub mod batch;
 pub mod decision;
+mod ledger;
 pub mod metrics;
 pub mod partition;
 pub mod scheduler;
@@ -35,12 +43,12 @@ pub mod session;
 pub mod telemetry;
 pub mod traffic;
 
-pub use admission::{AdmissionGate, Resident, UnknownPolicy};
+pub use admission::{AdmissionGate, Resident};
 pub use batch::DescriptorBatcher;
 pub use decision::DecisionEvent;
 pub use metrics::{ClassStats, EpochStats, ServeReport};
 pub use partition::PartitionTable;
-pub use scheduler::{serve, serve_observed, serve_with_telemetry, ServeConfig};
+pub use scheduler::{serve, serve_with_telemetry, ServeConfig};
 pub use session::{
     Catalogue, CompletedSession, RejectedSession, SessionClass, SessionRequest, ShedReason,
     ShedSession, MIN_SLOT,

@@ -12,7 +12,7 @@ use crate::traffic::Traffic;
 use crate::Catalogue;
 
 /// One scheduling epoch's ledger line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EpochStats {
     /// Epoch number.
     pub epoch: u64,

@@ -9,16 +9,20 @@
 //!    (tail-dropping at `queue_cap`);
 //! 2. fills a batch from the queue front: each candidate gets a buddy
 //!    partition slot and the grown batch is re-certified through
-//!    [`AdmissionGate::certify`] — ADMIT joins, REJECT frees the slot
-//!    and retries with exponential backoff until the retry budget
-//!    terminalizes it (carrying the MEA3xx proof), UNKNOWN follows the
-//!    configured conservative policy;
+//!    [`AdmissionGate::certify`] — ADMIT joins; REJECT and UNKNOWN free
+//!    the slot and retry with exponential backoff until the retry
+//!    budget terminalizes the session (a REJECT carrying its MEA3xx
+//!    proof, an UNKNOWN shed as retries exhausted — never admitted);
 //! 3. plans the batch's descriptors through the runtime compiler path
 //!    (repeat classes batch via the plan cache) and replays the merged
 //!    set through the tagged interleaved engine, crediting each tenant
 //!    its exact modeled service time, bytes, and energy;
 //! 4. advances the modeled clock by the replay's elapsed time and
 //!    frees every partition (residency is one epoch).
+//!
+//! The loop holds only policy — queue, partitions, certification,
+//! backoff. Every fact it establishes goes to the private `Ledger` in one
+//! call, which keeps the report, the decision log, and the telemetry.
 //!
 //! The loop is a pure function of (catalogue, traffic, config,
 //! environment): no wall-clock, no ambient randomness, `BTreeMap`
@@ -28,21 +32,23 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mealib_memsim::{simulate_tenants, SimOptions};
-use mealib_obs::{Breakdown, Obs, Phase};
-use mealib_types::{Joules, Seconds};
+use mealib_obs::Obs;
 use mealib_verify::interference::{resolved_set_config, tenant_streams};
 use mealib_verify::{BoundsEnv, Verdict};
 
-use crate::admission::{AdmissionGate, Resident, UnknownPolicy};
+use crate::admission::{AdmissionGate, Resident};
 use crate::batch::DescriptorBatcher;
 use crate::decision::DecisionEvent;
-use crate::metrics::{EpochStats, ServeReport};
+use crate::ledger::Ledger;
+use crate::metrics::ServeReport;
 use crate::partition::PartitionTable;
-use crate::session::{
-    Catalogue, CompletedSession, RejectedSession, SessionRequest, ShedReason, ShedSession,
-};
+use crate::session::{Catalogue, CompletedSession, SessionRequest, ShedReason};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryReport};
 use crate::traffic::Traffic;
+
+/// Admission attempts past the first before a REJECT terminalizes (or
+/// an UNKNOWN is shed as [`ShedReason::RetriesExhausted`]).
+const MAX_RETRIES: u32 = 3;
 
 /// Scheduler knobs. The defaults serve the standard catalogue.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,14 +60,6 @@ pub struct ServeConfig {
     pub max_resident: usize,
     /// Wait-queue depth; arrivals beyond it are tail-dropped.
     pub queue_cap: usize,
-    /// Admission attempts before a REJECT terminalizes (or an UNKNOWN
-    /// under the retry policy is shed).
-    pub max_retries: u32,
-    /// Backoff after the first failed attempt, in epochs; doubles per
-    /// attempt.
-    pub backoff_base: u64,
-    /// What to do with UNKNOWN verdicts (never admit).
-    pub unknown_policy: UnknownPolicy,
     /// Worker threads for the epoch replay (bit-exact at any value).
     pub jobs: usize,
     /// Request-slot arrival stagger between batch positions.
@@ -69,9 +67,6 @@ pub struct ServeConfig {
     /// Drain deadline: at this epoch everything still unserved is shed
     /// with [`ShedReason::DrainDeadline`]. `u64::MAX` disables it.
     pub max_epochs: u64,
-    /// When set, admission certifies against the §4.2 asymmetric
-    /// layer split at this (slot-aligned) boundary.
-    pub asym_split: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -80,13 +75,9 @@ impl Default for ServeConfig {
             capacity: 1 << 31,
             max_resident: 4,
             queue_cap: 64,
-            max_retries: 3,
-            backoff_base: 1,
-            unknown_policy: UnknownPolicy::Retry,
             jobs: 1,
             stagger_slots: 64,
             max_epochs: u64::MAX,
-            asym_split: None,
         }
     }
 }
@@ -100,36 +91,25 @@ struct Pending {
 }
 
 /// Runs the serving loop without observability.
-pub fn serve(
-    catalogue: &Catalogue,
-    traffic: &Traffic,
-    config: &ServeConfig,
-    env: &BoundsEnv,
-) -> ServeReport {
-    serve_observed(catalogue, traffic, config, env, &Obs::off())
-}
-
-/// Runs the serving loop, emitting admission (`Verify`) and replay
-/// (`Compute`) spans into `obs`.
 ///
 /// # Panics
 ///
 /// Panics if `traffic` names a class the catalogue does not carry, or
 /// on internal invariant violations (certified batches that fail to
 /// replay).
-pub fn serve_observed(
+pub fn serve(
     catalogue: &Catalogue,
     traffic: &Traffic,
     config: &ServeConfig,
     env: &BoundsEnv,
-    obs: &Obs,
 ) -> ServeReport {
-    serve_core(catalogue, traffic, config, env, obs, None)
+    serve_core(catalogue, traffic, config, env, &Obs::off(), None).0
 }
 
-/// Runs the serving loop with live telemetry: streaming metric
+/// Runs the serving loop with live telemetry — streaming metric
 /// sketches, the per-session lifecycle trace, and the SLO /
-/// certified-bounds engines, all driven by the modeled clock.
+/// certified-bounds engines, all driven by the modeled clock — and
+/// emits admission (`Verify`) and replay (`Compute`) spans into `obs`.
 ///
 /// With [`TelemetryConfig::stream_only`] the report's per-session
 /// vectors and decision log come back empty — the telemetry registry
@@ -137,7 +117,7 @@ pub fn serve_observed(
 ///
 /// # Panics
 ///
-/// Panics as [`serve_observed`] does.
+/// Panics as [`serve`] does.
 pub fn serve_with_telemetry(
     catalogue: &Catalogue,
     traffic: &Traffic,
@@ -146,45 +126,31 @@ pub fn serve_with_telemetry(
     obs: &Obs,
     telemetry: &TelemetryConfig,
 ) -> (ServeReport, TelemetryReport) {
-    let mut tele = Telemetry::new(telemetry);
-    let report = serve_core(catalogue, traffic, config, env, obs, Some(&mut tele));
+    let tele = Telemetry::new(telemetry);
+    let (report, tele) = serve_core(catalogue, traffic, config, env, obs, Some(tele));
+    let tele = tele.expect("the ledger hands back its telemetry");
     let tele_report = tele.finish(report.modeled_s, report.peak_queue_depth);
     (report, tele_report)
 }
 
-/// The epoch loop shared by every entry point. `tele` costs one
-/// `Option` discriminant check per event when telemetry is off — the
-/// bench's <2% untelemetered wall criterion rides on that.
+/// The epoch loop shared by both entry points.
 fn serve_core(
     catalogue: &Catalogue,
     traffic: &Traffic,
     config: &ServeConfig,
     env: &BoundsEnv,
     obs: &Obs,
-    mut tele: Option<&mut Telemetry>,
-) -> ServeReport {
-    let mut gate = AdmissionGate::new(env.clone());
-    if let Some(split) = config.asym_split {
-        gate = gate.with_asym_split(split);
-    }
+    tele: Option<Telemetry>,
+) -> (ServeReport, Option<Telemetry>) {
+    let gate = AdmissionGate::new(env.clone());
     let mut table = PartitionTable::new(config.capacity);
     let mut batcher = DescriptorBatcher::new(catalogue);
+    let mut ledger = Ledger::new(obs, tele);
 
     let mut queue: VecDeque<Pending> = VecDeque::new();
     // Backoff parking: keyed (eligible epoch, id) so promotion order is
     // deterministic and oldest-first.
     let mut parked: BTreeMap<(u64, u64), Pending> = BTreeMap::new();
-
-    let mut completed: Vec<CompletedSession> = Vec::new();
-    let mut rejected: Vec<RejectedSession> = Vec::new();
-    let mut shed: Vec<ShedSession> = Vec::new();
-    let mut epochs: Vec<EpochStats> = Vec::new();
-    let mut log: Vec<DecisionEvent> = Vec::new();
-    let mut breakdown = Breakdown::new();
-    // Streaming mode trades the per-session ledger for the bounded
-    // registry; everything else (epochs, clock, fingerprintable
-    // counters) is identical either way.
-    let retain = tele.as_ref().is_none_or(|t| !t.stream_only());
 
     let sessions = &traffic.sessions;
     let mut arr_idx = 0usize;
@@ -199,57 +165,15 @@ fn serve_core(
         if epoch >= config.max_epochs {
             // Drain deadline: everything unserved is shed, so every
             // generated session still gets exactly one disposition.
-            for p in queue
-                .drain(..)
-                .chain(std::mem::take(&mut parked).into_values())
-            {
-                let ev = DecisionEvent::ShedDrain {
-                    epoch,
-                    id: p.req.id,
-                };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &p.req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: p.req.id,
-                        class: p.req.class,
-                        epoch,
-                        reason: ShedReason::DrainDeadline,
-                    });
-                }
-            }
-            while arr_idx < sessions.len() {
-                let req = &sessions[arr_idx];
+            let parked = std::mem::take(&mut parked).into_values();
+            let unserved = queue.drain(..).chain(parked).map(|p| p.req);
+            for req in unserved.chain(sessions[arr_idx..].iter().cloned()) {
                 let ev = DecisionEvent::ShedDrain { epoch, id: req.id };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: req.id,
-                        class: req.class.clone(),
-                        epoch,
-                        reason: ShedReason::DrainDeadline,
-                    });
-                }
-                arr_idx += 1;
+                ledger.decide(ev, &req.class, clock_s);
             }
             break;
         }
-
-        let mut st = EpochStats {
-            epoch,
-            arrivals: 0,
-            admitted: 0,
-            rejected: 0,
-            shed: 0,
-            queue_depth_end: 0,
-            replay_elapsed_s: 0.0,
-            clock_s,
-        };
+        ledger.open_epoch(epoch, clock_s);
 
         // (1a) Promote due retries to the queue front, oldest first.
         // Promotion respects the queue bound: retries past it stay
@@ -271,52 +195,24 @@ fn serve_core(
         while arr_idx < sessions.len() && sessions[arr_idx].arrival_epoch == epoch {
             let req = sessions[arr_idx].clone();
             arr_idx += 1;
-            st.arrivals += 1;
-            if let Some(t) = tele.as_deref_mut() {
-                t.on_arrival(&req, clock_s);
-            }
+            ledger.arrive(&req, clock_s);
             let class = catalogue
                 .get(&req.class)
                 .unwrap_or_else(|| panic!("unknown traffic class {}", req.class));
+            let id = req.id;
             if class.slot > config.capacity {
-                let ev = DecisionEvent::ShedSlot { epoch, id: req.id };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: req.id,
-                        class: req.class,
-                        epoch,
-                        reason: ShedReason::Undecidable,
-                    });
-                }
-                st.shed += 1;
-                continue;
+                let ev = DecisionEvent::ShedSlot { epoch, id };
+                ledger.decide(ev, &req.class, clock_s);
+            } else if queue.len() >= config.queue_cap {
+                let ev = DecisionEvent::ShedQueueFull { epoch, id };
+                ledger.decide(ev, &req.class, clock_s);
+            } else {
+                queue.push_back(Pending {
+                    req,
+                    attempts: 0,
+                    arrival_clock_s: clock_s,
+                });
             }
-            if queue.len() >= config.queue_cap {
-                let ev = DecisionEvent::ShedQueueFull { epoch, id: req.id };
-                if let Some(t) = tele.as_deref_mut() {
-                    t.on_decision(&ev, &req.class, clock_s);
-                }
-                if retain {
-                    log.push(ev);
-                    shed.push(ShedSession {
-                        id: req.id,
-                        class: req.class,
-                        epoch,
-                        reason: ShedReason::QueueFull,
-                    });
-                }
-                st.shed += 1;
-                continue;
-            }
-            queue.push_back(Pending {
-                req,
-                attempts: 0,
-                arrival_clock_s: clock_s,
-            });
         }
         peak_queue = peak_queue.max(queue.len());
 
@@ -344,114 +240,64 @@ fn serve_core(
             trial.push(candidate.clone());
             let (set, cert) = gate.certify(&trial);
             p.attempts += 1;
-            match cert.verdict {
-                Verdict::Admit => {
-                    let ev = DecisionEvent::Admit {
+            let (id, attempt) = (p.req.id, p.attempts);
+            if cert.verdict == Verdict::Admit {
+                let ev = DecisionEvent::Admit {
+                    epoch,
+                    id,
+                    class: p.req.class.clone(),
+                    part_start: partition.start().get(),
+                    part_len: partition.len().get(),
+                    attempt,
+                };
+                ledger.decide(ev, &p.req.class, clock_s);
+                batch.push(candidate);
+                batch_meta.push(p);
+                admitted_cert = Some((set, cert));
+                continue;
+            }
+            // REJECT and UNKNOWN alike: free the slot and back off; once
+            // the retry budget is spent, a REJECT terminalizes with its
+            // proof and an UNKNOWN is shed (never admitted).
+            table.free(partition);
+            let rejected = cert.verdict == Verdict::Reject;
+            if attempt > MAX_RETRIES {
+                let ev = if rejected {
+                    DecisionEvent::Reject {
                         epoch,
-                        id: p.req.id,
-                        class: p.req.class.clone(),
-                        part_start: partition.start().get(),
-                        part_len: partition.len().get(),
-                        attempt: p.attempts,
-                    };
-                    if let Some(t) = tele.as_deref_mut() {
-                        t.on_decision(&ev, &p.req.class, clock_s);
+                        id,
+                        codes: cert.codes(),
+                        attempts: attempt,
                     }
-                    if retain {
-                        log.push(ev);
+                } else {
+                    DecisionEvent::ShedPolicy {
+                        epoch,
+                        id,
+                        reason: ShedReason::RetriesExhausted,
+                        attempts: attempt,
                     }
-                    batch.push(candidate);
-                    batch_meta.push(p);
-                    admitted_cert = Some((set, cert));
-                }
-                Verdict::Reject => {
-                    table.free(partition);
-                    if p.attempts > config.max_retries {
-                        let codes = cert.codes();
-                        debug_assert!(!codes.is_empty(), "REJECT always carries its proof");
-                        let ev = DecisionEvent::Reject {
-                            epoch,
-                            id: p.req.id,
-                            codes: codes.clone(),
-                            attempts: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                            rejected.push(RejectedSession {
-                                id: p.req.id,
-                                class: p.req.class.clone(),
-                                epoch,
-                                codes,
-                                retries: p.attempts,
-                            });
-                        }
-                        st.rejected += 1;
-                    } else {
-                        let eligible = epoch + 1 + (config.backoff_base << (p.attempts - 1));
-                        let ev = DecisionEvent::Backoff {
-                            epoch,
-                            id: p.req.id,
-                            until_epoch: eligible,
-                            attempt: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                        }
-                        parked.insert((eligible, p.req.id), p);
+                };
+                ledger.decide(ev, &p.req.class, clock_s);
+            } else {
+                // Eligible again after 2^(attempt - 1) epochs.
+                let until = epoch + 1 + (1 << (attempt - 1));
+                let ev = if rejected {
+                    DecisionEvent::Backoff {
+                        epoch,
+                        id,
+                        until_epoch: until,
+                        attempt,
                     }
-                }
-                Verdict::Unknown => {
-                    table.free(partition);
-                    let terminal = config.unknown_policy == UnknownPolicy::Shed
-                        || p.attempts > config.max_retries;
-                    if terminal {
-                        let reason = if config.unknown_policy == UnknownPolicy::Shed {
-                            ShedReason::Undecidable
-                        } else {
-                            ShedReason::RetriesExhausted
-                        };
-                        let ev = DecisionEvent::ShedPolicy {
-                            epoch,
-                            id: p.req.id,
-                            reason,
-                            attempts: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                            shed.push(ShedSession {
-                                id: p.req.id,
-                                class: p.req.class.clone(),
-                                epoch,
-                                reason,
-                            });
-                        }
-                        st.shed += 1;
-                    } else {
-                        let eligible = epoch + 1 + (config.backoff_base << (p.attempts - 1));
-                        let ev = DecisionEvent::UnknownRetry {
-                            epoch,
-                            id: p.req.id,
-                            retry_epoch: eligible,
-                            attempt: p.attempts,
-                        };
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.on_decision(&ev, &p.req.class, clock_s);
-                        }
-                        if retain {
-                            log.push(ev);
-                        }
-                        parked.insert((eligible, p.req.id), p);
+                } else {
+                    DecisionEvent::UnknownRetry {
+                        epoch,
+                        id,
+                        retry_epoch: until,
+                        attempt,
                     }
-                }
+                };
+                ledger.decide(ev, &p.req.class, clock_s);
+                parked.insert((until, id), p);
             }
         }
 
@@ -468,22 +314,7 @@ fn serve_core(
                 ..SimOptions::default()
             };
             let run = simulate_tenants(&cfg, &streams, &opts).expect("certified batches replay");
-            obs.span(
-                Phase::Verify,
-                &format!("admit-e{epoch}"),
-                Seconds::ZERO,
-                Joules::ZERO,
-            );
-            obs.span(
-                Phase::Compute,
-                &format!("replay-e{epoch}"),
-                run.stats.elapsed,
-                run.stats.energy,
-            );
-            breakdown.add_phase(Phase::Compute, run.stats.elapsed, run.stats.energy);
-            if let Some(t) = tele.as_deref_mut() {
-                t.on_replay(run.stats.elapsed.get(), run.stats.energy.get());
-            }
+            ledger.replay(&run.stats);
             for (i, (r, p)) in batch.iter().zip(&batch_meta).enumerate() {
                 let t = &run.tenants[i];
                 let tb = &cert.bounds.tenants[i];
@@ -500,17 +331,8 @@ fn serve_core(
                     certified_elapsed_hi: tb.elapsed.hi,
                     retries: p.attempts - 1,
                 };
-                if let Some(tl) = tele.as_deref_mut() {
-                    // The epoch's service spans share the pre-advance
-                    // clock, so one batch's spans nest in the trace.
-                    tl.on_completion(clock_s, &done, tb, t.first_elapsed.get());
-                }
-                if retain {
-                    completed.push(done);
-                }
-                st.admitted += 1;
+                ledger.complete(clock_s, done, tb, t.first_elapsed.get());
             }
-            st.replay_elapsed_s = run.stats.elapsed.get();
             clock_s += run.stats.elapsed.get();
             // (4) Residency is one epoch: return every slot.
             for r in &batch {
@@ -518,32 +340,11 @@ fn serve_core(
             }
         }
 
-        st.queue_depth_end = queue.len();
-        st.clock_s = clock_s;
-        if let Some(t) = tele.as_deref_mut() {
-            t.on_epoch_end(&st);
-        }
-        epochs.push(st);
+        ledger.close_epoch(queue.len(), clock_s);
         epoch += 1;
     }
 
-    if let Some(t) = tele {
-        batcher.export_metrics(t.registry_mut());
-    }
-
-    ServeReport {
-        completed,
-        rejected,
-        shed,
-        epochs,
-        decision_log: log,
-        modeled_s: clock_s,
-        breakdown,
-        peak_queue_depth: peak_queue,
-        plans_planned: batcher.planned(),
-        plan_cache_hits: batcher.cache_hits(),
-        plan_cache_len: batcher.cached_plans(),
-    }
+    ledger.finish(&batcher, clock_s, peak_queue)
 }
 
 #[cfg(test)]

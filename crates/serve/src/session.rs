@@ -129,13 +129,11 @@ pub enum ShedReason {
     /// (tail-drop: the *incoming* session is shed, residents keep
     /// their place).
     QueueFull,
-    /// The session exhausted its retry budget without the certifier
-    /// ever proving a violation (UNKNOWN verdicts or no partition
-    /// space under the retry policy).
+    /// The session exhausted its retry budget on UNKNOWN verdicts
+    /// without the certifier ever proving a violation.
     RetriesExhausted,
-    /// The configured [`UnknownPolicy`](crate::UnknownPolicy) sheds
-    /// undecidable candidates immediately, or the session can never be
-    /// placed at all (its slot exceeds the partition table).
+    /// The session can never be placed at all: its slot exceeds the
+    /// partition table.
     Undecidable,
     /// The run hit its drain deadline (`max_epochs`) with the session
     /// still queued.

@@ -63,12 +63,12 @@ pub fn run_sweep(
 /// The sweep fans one `ExperimentOptions` out to all workers by shared
 /// reference, so the type must stay shareable across threads. These
 /// bindings fail to compile if a non-`Send`/`Sync` field sneaks in.
-#[allow(dead_code)]
 const fn assert_options_shareable() {
     const fn sendable<T: Send + Sync>() {}
     sendable::<ExperimentOptions>();
     sendable::<ExperimentReport>();
 }
+const _: () = assert_options_shareable();
 
 #[cfg(test)]
 mod tests {

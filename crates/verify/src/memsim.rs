@@ -57,8 +57,8 @@ fn verify_timing(t: &DramTiming, report: &mut Report) {
         }
     }
     // A row must stay open long enough to deliver the column read that
-    // activated it.
-    if t.t_ras < t.t_rcd + t.t_cl {
+    // activated it. Sums saturate: a file can set any cycle count.
+    if t.t_ras < t.t_rcd.saturating_add(t.t_cl) {
         report.push(Diagnostic::error(
             ErrorCode::MemTimingInequality,
             format!(
@@ -78,15 +78,16 @@ fn verify_timing(t: &DramTiming, report: &mut Report) {
         ));
     }
     // tFAW gates four activations, so a window shorter than one row
-    // cycle makes it vacuous — suspicious but not fatal.
-    if t.t_faw != 0 && t.t_faw > 4 * t.t_rc() {
+    // cycle makes it vacuous — suspicious but not fatal. `4·tRC`, with
+    // `DramTiming::t_rc`'s sum saturating here.
+    let four_row_cycles = t.t_ras.saturating_add(t.t_rp).saturating_mul(4);
+    if t.t_faw != 0 && t.t_faw > four_row_cycles {
         report.push(Diagnostic::warning(
             ErrorCode::MemTimingInequality,
             format!(
-                "t_faw ({}) exceeds four row cycles ({}); activations would be \
-                 current-limited even when banks are idle",
+                "t_faw ({}) exceeds four row cycles ({four_row_cycles}); activations \
+                 would be current-limited even when banks are idle",
                 t.t_faw,
-                4 * t.t_rc()
             ),
         ));
     }
@@ -201,13 +202,16 @@ pub fn verify_mapping(mapping: &AddressMapping) -> Report {
             }
             // Low region: a plain interleave, but the proof window must
             // not cross the split.
-            let window = (units as u64 * banks as u64 * row_bytes).min(split.get());
+            let window = rotation_bytes(units, banks, row_bytes, 1).min(split.get());
             check_injective(mapping, 0, window, line_bytes, &mut report);
             // High region: must be contiguous within the single dedicated
             // unit `low_units` (what the accelerators require, §3.3).
             let probe = row_bytes.min(split.get().max(line_bytes));
             for offset in [0, line_bytes, probe - line_bytes] {
-                let addr = PhysAddr::new(split.get() + offset);
+                // Probes past the top of the address space do not exist.
+                let Some(addr) = split.get().checked_add(offset).map(PhysAddr::new) else {
+                    continue;
+                };
                 let loc = mapping.decode(addr);
                 if loc.unit != low_units {
                     report.push(Diagnostic::error(
@@ -242,12 +246,22 @@ pub fn verify_mapping(mapping: &AddressMapping) -> Report {
             } else {
                 1
             };
-            let window = units as u64 * banks as u64 * row_bytes * rotations;
+            let window = rotation_bytes(units, banks, row_bytes, rotations);
             check_injective(mapping, 0, window, line_bytes, &mut report);
         }
     }
 
     report
+}
+
+/// Bytes in `rotations` interleaving rotations. Saturates: a window past
+/// `u64::MAX` bytes is far over the line cap, so [`check_injective`]
+/// samples it and warns instead of silently proving nothing.
+fn rotation_bytes(units: usize, banks: usize, row_bytes: u64, rotations: u64) -> u64 {
+    (units as u64)
+        .saturating_mul(banks as u64)
+        .saturating_mul(row_bytes)
+        .saturating_mul(rotations)
 }
 
 /// Decodes every line in `[base, base + window)` and reports the first
@@ -358,6 +372,19 @@ mod tests {
     }
 
     #[test]
+    fn huge_timings_are_judged_without_overflow() {
+        let mut c = MemoryConfig::hmc_stack();
+        c.timing.t_rcd = u64::MAX;
+        let r = verify_memconfig(&c);
+        assert!(r.has_code(ErrorCode::MemTimingInequality), "{r}");
+        // A saturated row cycle makes every tFAW plausible.
+        let mut c = MemoryConfig::hmc_stack();
+        c.timing.t_ras = u64::MAX;
+        c.timing.t_faw = u64::MAX;
+        assert!(verify_memconfig(&c).is_clean());
+    }
+
+    #[test]
     fn bad_energy_reported() {
         let mut c = MemoryConfig::hmc_stack();
         c.energy.e_act = mealib_types::Joules::new(-1.0);
@@ -409,6 +436,33 @@ mod tests {
             line_bytes: 64,
         });
         assert!(r.has_code(ErrorCode::MemMappingNotBijective), "{r}");
+    }
+
+    /// `units × banks × row_bytes` is 2^80 bytes here: the rotation
+    /// window saturates, so the proof samples the line cap and warns
+    /// rather than wrapping to a zero-line "proof".
+    #[test]
+    fn huge_rotation_window_is_sampled_and_reported() {
+        for mapping in ["interleaved", "xor"] {
+            let text = format!(
+                "mapping = {mapping}\nunits = 1099511627776\nbanks_per_unit = 1048576\n\
+                 row_bytes = 1048576\n"
+            );
+            let config = crate::memconfig::parse_memconfig(&text).expect("memconfig parses");
+            let r = verify_memconfig(&config);
+            assert!(
+                r.has_code(ErrorCode::MemMappingNotBijective),
+                "{mapping}: {r}"
+            );
+            assert_eq!(r.warning_count(), 1, "{mapping}: {r}");
+            assert_eq!(r.error_count(), 0, "{mapping}: {r}");
+        }
+    }
+
+    #[test]
+    fn split_at_the_top_of_the_address_space_is_probed_without_overflow() {
+        let r = verify_mapping(&asymmetric_dimms(PhysAddr::new(u64::MAX - 63)));
+        assert!(!r.has_code(ErrorCode::MemBadAsymmetricSplit), "{r}");
     }
 
     #[test]

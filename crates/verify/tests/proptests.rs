@@ -56,6 +56,12 @@ fn asymmetric() -> impl Strategy<Value = AddressMapping> {
     )
 }
 
+/// One geometry parameter: small, a power of two up to 2^63, or any
+/// value at all.
+fn dim() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..=8, (0u32..64).prop_map(pow2), any::<u64>()]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -122,5 +128,37 @@ proptest! {
         };
         let report = verify_mapping(&mapping);
         prop_assert!(report.has_code(ErrorCode::MemBadAsymmetricSplit), "{report}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Any geometry at all, up to the top of `u64`: the verifier reports
+    /// and never panics (no overflow in the window or probe arithmetic).
+    /// Each call decodes at most the line cap (about a million lines),
+    /// which bounds the cost; few cases keep the debug run short.
+    #[test]
+    fn arbitrary_geometry_never_panics(
+        kind in 0u8..3,
+        units in dim(),
+        banks in dim(),
+        row_bytes in dim(),
+        line_bytes in dim(),
+        split in dim(),
+    ) {
+        let (units, banks) = (units as usize, banks as usize);
+        let mapping = match kind {
+            0 => AddressMapping::Interleaved { units, banks_per_unit: banks, row_bytes, line_bytes },
+            1 => AddressMapping::XorInterleaved { units, banks_per_unit: banks, row_bytes, line_bytes },
+            _ => AddressMapping::Asymmetric {
+                low_units: units,
+                banks_per_unit: banks,
+                row_bytes,
+                line_bytes,
+                split: PhysAddr::new(split),
+            },
+        };
+        let _ = verify_mapping(&mapping);
     }
 }

@@ -22,6 +22,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The benchmark is its own cargo workspace with path dependencies on the
+# crates: building it here makes an API change that breaks it (or its
+# decision-log re-drive) fail verification, not the next benchmark run.
+echo "==> perfbench: build against the workspace and run its self-tests"
+t0=$(date +%s)
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+echo "perfbench self-tests: $(( $(date +%s) - t0 )) s"
+
 MEALINT=(cargo run -q --release -p mealib-verify --bin mealint --)
 
 echo "==> mealint: examples and clean corpus must be clean"
