@@ -5,7 +5,8 @@
 //! mix rebases 2–8 real pipeline sessions into disjoint partition
 //! slots, staggers their arrivals, and runs the compositional
 //! interference certifier end to end. Every verdict is then *checked*
-//! against the tagged interleaved cycle simulation:
+//! against the tagged interleaved simulation (the default fast engine,
+//! bit-exact with the cycle oracle):
 //!
 //! * ADMIT — the merged run must stay inside the certified set-level
 //!   bounds and every per-tenant interval must contain its

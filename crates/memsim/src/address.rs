@@ -10,7 +10,7 @@
 use mealib_types::PhysAddr;
 
 /// Where a physical address lands inside a memory device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Location {
     /// Channel (DIMM system) or vault (stacked device) index.
     pub unit: usize,

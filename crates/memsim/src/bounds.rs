@@ -31,19 +31,22 @@
 //!   activations, bytes, and elapsed time, so the interval endpoints
 //!   map through it soundly.
 //!
-//! # Cost: one tally per run
+//! # Cost: one tally per run, one run per row stripe
 //!
 //! Every quantity above is a sum over bursts or a function of the
 //! per-bank miss counts, and a burst's contribution depends only on its
 //! `(unit, bank, row)` and byte count. The walk ([`BoundsWalk`])
 //! therefore never visits a burst: it takes each request as the same
 //! same-row runs the fast engine replays ([`crate::runs::RunDecoder`],
-//! one `decode` per run or per aligned super-line), adds a run's
-//! bursts, bytes, and RD/WR counts whole, and steps the row automaton
-//! once per run — the run's first burst is the only one that can miss.
-//! The cost is O(runs) per trace, not O(bursts), with results
-//! bit-identical to the per-burst walk (the `bounds_oracle` proptests
-//! check every field on every mapping shape). A walk is incremental:
+//! one `decode` per run, per aligned super-line, or per row stripe of
+//! whole super-lines — one run per unit), adds a run's bursts, bytes,
+//! and RD/WR counts whole, and steps the row automaton once per run —
+//! the run's first burst is the only one that can miss. On interleaved
+//! layers a long aligned request therefore costs O(units) per row
+//! stripe, not O(lines). The cost is O(runs) per trace, not O(bursts),
+//! with results bit-identical to the per-burst walk (the
+//! `bounds_oracle` proptests check every field on every mapping
+//! shape). A walk is incremental:
 //! callers that need per-request attribution (the MEA3xx composer's
 //! per-tenant tallies and prefix snapshots) push requests themselves
 //! and read [`BoundsWalk::unit_bursts`] between pushes.
@@ -356,7 +359,7 @@ mod tests {
         let config = MemoryConfig::hmc_stack();
         let trace = engine::sequential_trace(4096, 2 << 20, 256, Op::Read);
         let bounds = trace_bounds(&config, &trace).unwrap();
-        let run = engine::simulate(&config, &trace, &SimOptions::default()).unwrap();
+        let run = engine::simulate(&config, &trace, &SimOptions::cycle()).unwrap();
         let measured: Vec<u64> = run
             .vaults
             .iter()

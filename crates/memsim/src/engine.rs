@@ -307,12 +307,13 @@ impl EngineRun {
 pub enum EngineKind {
     /// The cycle-accurate oracle: every burst steps the per-bank state
     /// machines individually.
-    #[default]
     Cycle,
-    /// The event-driven epoch-skipping engine: contiguous row-hit burst
-    /// streaks are batched analytically and dead time is skipped to the
-    /// next bank/bus/refresh event. Bit-exact against [`Cycle`]
-    /// (`EngineKind::Cycle`) for every statistic.
+    /// The event-driven epoch-skipping engine, and the default:
+    /// contiguous row-hit burst streaks are batched analytically and
+    /// dead time is skipped to the next bank/bus/refresh event.
+    /// Bit-exact against [`Cycle`](EngineKind::Cycle) for every
+    /// statistic, tenant slices included.
+    #[default]
     Fast,
     /// Runs both engines and diffs the results; returns
     /// [`SimError::EngineDivergence`] on any mismatch. The validation
@@ -322,8 +323,9 @@ pub enum EngineKind {
 
 /// Options for one [`simulate`] call.
 ///
-/// The `Default` is the cycle-accurate oracle, serial, with latency
-/// collection on and profiling off.
+/// The `Default` is the fast engine, serial, with latency collection on
+/// and profiling off. The cycle-accurate oracle stays one call away, as
+/// [`SimOptions::cycle`] and inside [`EngineKind::DualCheck`].
 ///
 /// # `jobs` semantics
 ///
@@ -339,7 +341,7 @@ pub enum EngineKind {
 /// time changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Replay engine ([`EngineKind::Cycle`] by default).
+    /// Replay engine ([`EngineKind::Fast`] by default).
     pub engine: EngineKind,
     /// Worker threads: `0` = auto, `1` = exact serial path, `n` = up to
     /// `n` workers (vault-sharded).
@@ -358,7 +360,7 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         Self {
-            engine: EngineKind::Cycle,
+            engine: EngineKind::Fast,
             jobs: 1,
             latencies: true,
             profile: None,
@@ -367,17 +369,17 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Cycle-accurate oracle engine (same as `Default`).
+    /// Cycle-accurate oracle engine.
     pub fn cycle() -> Self {
-        Self::default()
-    }
-
-    /// Event-driven epoch-skipping engine.
-    pub fn fast() -> Self {
         Self {
-            engine: EngineKind::Fast,
+            engine: EngineKind::Cycle,
             ..Self::default()
         }
+    }
+
+    /// Event-driven epoch-skipping engine (same as `Default`).
+    pub fn fast() -> Self {
+        Self::default()
     }
 
     /// Run both engines and diff every statistic.
@@ -498,12 +500,11 @@ pub fn simulate(
 /// [`crate::tenancy::interleave_tenants`], or call
 /// [`crate::tenancy::simulate_tenants`] to do both steps at once.
 ///
-/// Attribution charges every burst individually, so the fast engine's
-/// streak batching is bypassed (the tagged replay runs the cycle path
-/// on any engine kind; results are unchanged by construction and
-/// [`EngineKind::DualCheck`] still diffs both calls). Everything except
-/// the new `tenants` field is bit-identical to the untagged
-/// [`simulate`] of the same trace.
+/// Both engines attribute: the cycle engine per burst, the fast engine
+/// per batch (a batch belongs to one request, hence one tenant), and
+/// [`EngineKind::DualCheck`] diffs the tenant slices with everything
+/// else. Everything except the new `tenants` field is bit-identical to
+/// the untagged [`simulate`] of the same trace.
 ///
 /// # Errors
 ///
@@ -672,7 +673,7 @@ pub(crate) fn run_cycle(
 /// unit its index as the lane. `par_map` returns units in shard order
 /// regardless of completion order, and cell insertion is a commutative
 /// sum, so the fold is order-independent.
-pub(crate) fn collect_timeline(window_cycles: u64, units: &mut [UnitEngine]) -> Timeline {
+fn collect_timeline(window_cycles: u64, units: &mut [UnitEngine]) -> Timeline {
     let mut timeline = Timeline::new(window_cycles);
     for (unit, u) in units.iter_mut().enumerate() {
         if let Some(ut) = u.timeline.take() {
@@ -829,7 +830,7 @@ impl UnitEngine {
         }
     }
 
-    pub(crate) fn with_timeline(banks: usize, window_cycles: u64) -> Self {
+    fn with_timeline(banks: usize, window_cycles: u64) -> Self {
         let mut unit = Self::new(banks);
         unit.timeline = Some(UnitTimeline::new(window_cycles));
         unit
@@ -890,10 +891,10 @@ impl UnitEngine {
     /// Services one burst in FCFS order: refresh accounting, row-buffer
     /// logic, then a slot on the unit's data bus.
     ///
-    /// This is the shared slow path: the fast engine calls it verbatim
-    /// for every burst its analytic streak batching cannot cover, which
-    /// is what keeps the two engines bit-exact on conflicts, refreshes,
-    /// and activations.
+    /// This is the shared slow path: the fast engine calls it, through
+    /// [`UnitEngine::burst`], for every burst its closed-form batches
+    /// cannot cover, which is what keeps the two engines bit-exact on
+    /// conflicts, refreshes, and activations.
     pub(crate) fn burst_core(&mut self, t: &DramTiming, b: &Burst) {
         // Periodic all-bank refresh (REFab): once per tREFI the whole
         // unit spends tRFC refreshing, closing every row buffer.
@@ -1093,7 +1094,7 @@ mod tests {
     }
 
     fn run(c: &MemoryConfig, trace: &TraceBuffer) -> EngineRun {
-        simulate(c, trace, &SimOptions::default()).expect("valid config")
+        simulate(c, trace, &SimOptions::cycle()).expect("valid config")
     }
 
     fn stats(c: &MemoryConfig, trace: &TraceBuffer) -> TraceStats {
@@ -1246,7 +1247,7 @@ mod tests {
     fn latencies_off_returns_an_empty_histogram() {
         let c = single_channel_config();
         let trace = sequential_trace(0, 1 << 16, 64, Op::Read);
-        let quiet = simulate(&c, &trace, &SimOptions::default().latencies(false)).unwrap();
+        let quiet = simulate(&c, &trace, &SimOptions::cycle().latencies(false)).unwrap();
         assert_eq!(quiet.latencies, LatencyHistogram::default());
         // Every other statistic is unchanged by the flag.
         let full = run(&c, &trace);
@@ -1437,8 +1438,7 @@ mod tests {
         ] {
             let serial = run(&config, &trace);
             for jobs in [0usize, 1, 2, 4, 8] {
-                let parallel =
-                    simulate(&config, &trace, &SimOptions::default().jobs(jobs)).unwrap();
+                let parallel = simulate(&config, &trace, &SimOptions::cycle().jobs(jobs)).unwrap();
                 assert_eq!(parallel, serial, "{} jobs={jobs}", config.name);
                 assert_eq!(
                     parallel.stats.elapsed.get().to_bits(),
@@ -1462,18 +1462,18 @@ mod tests {
         c.timing.t_rcd = 0;
         let empty = TraceBuffer::new();
         assert!(matches!(
-            simulate(&c, &empty, &SimOptions::default().jobs(4)),
+            simulate(&c, &empty, &SimOptions::cycle().jobs(4)),
             Err(SimError::Config(_))
         ));
         assert_eq!(
             simulate(
                 &MemoryConfig::hmc_stack(),
                 &empty,
-                &SimOptions::default().profile(0)
+                &SimOptions::cycle().profile(0)
             ),
             Err(SimError::ZeroWindow)
         );
-        assert!(simulate(&MemoryConfig::hmc_stack(), &empty, &SimOptions::default()).is_ok());
+        assert!(simulate(&MemoryConfig::hmc_stack(), &empty, &SimOptions::cycle()).is_ok());
     }
 
     #[test]
@@ -1482,7 +1482,7 @@ mod tests {
         let mut trace = sequential_trace(0, 1 << 20, 64, Op::Read);
         trace.extend(&strided_trace(1 << 22, 8192, 64, 2048, Op::Write));
         let plain = run(&c, &trace);
-        let mut profiled = simulate(&c, &trace, &SimOptions::default().profile(4096)).unwrap();
+        let mut profiled = simulate(&c, &trace, &SimOptions::cycle().profile(4096)).unwrap();
         let timeline = profiled.timeline.take().expect("profiled run has timeline");
         // Profiling must not perturb the model.
         assert_eq!(profiled, plain);
@@ -1512,10 +1512,10 @@ mod tests {
         let c = MemoryConfig::hmc_stack();
         let mut trace = sequential_trace(0, 2 << 20, 256, Op::Read);
         trace.extend(&strided_trace(1 << 24, 8192, 64, 4096, Op::Write));
-        let serial = simulate(&c, &trace, &SimOptions::default().profile(1024)).unwrap();
+        let serial = simulate(&c, &trace, &SimOptions::cycle().profile(1024)).unwrap();
         for jobs in [1usize, 2, 4, 8] {
             let parallel =
-                simulate(&c, &trace, &SimOptions::default().profile(1024).jobs(jobs)).unwrap();
+                simulate(&c, &trace, &SimOptions::cycle().profile(1024).jobs(jobs)).unwrap();
             assert_eq!(parallel, serial, "jobs={jobs}");
         }
     }
@@ -1524,7 +1524,7 @@ mod tests {
     fn per_lane_timeline_matches_vault_stats() {
         let c = MemoryConfig::ddr_dual_channel();
         let trace = sequential_trace(0, 1 << 20, 64, Op::Read);
-        let profiled = simulate(&c, &trace, &SimOptions::default().profile(2048)).unwrap();
+        let profiled = simulate(&c, &trace, &SimOptions::cycle().profile(2048)).unwrap();
         let timeline = profiled.timeline.as_ref().expect("timeline requested");
         for (unit, v) in profiled.vaults.iter().enumerate() {
             let mut lane_total = WindowCounters::default();
@@ -1545,7 +1545,7 @@ mod tests {
         let p = simulate(
             &MemoryConfig::hmc_stack(),
             &TraceBuffer::new(),
-            &SimOptions::default().profile(512),
+            &SimOptions::cycle().profile(512),
         )
         .unwrap();
         let timeline = p.timeline.expect("timeline requested");
@@ -1572,7 +1572,7 @@ mod tests {
         trace.extend(&strided_trace(1 << 22, 8192, 64, 1024, Op::Write));
         let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 3) as u16).collect();
         let plain = run(&c, &trace);
-        let tagged = simulate_tagged(&c, &trace, &tags, &SimOptions::default()).unwrap();
+        let tagged = simulate_tagged(&c, &trace, &tags, &SimOptions::cycle()).unwrap();
         assert_eq!(tagged.stats, plain.stats);
         assert_eq!(tagged.vaults, plain.vaults);
         assert_eq!(tagged.latencies, plain.latencies);
@@ -1601,7 +1601,7 @@ mod tests {
         let mut trace = sequential_trace(0, 1 << 20, 256, Op::Read);
         trace.extend(&strided_trace(1 << 24, 8192, 64, 2048, Op::Write));
         let tags: Vec<u16> = (0..trace.len()).map(|i| (i % 4) as u16).collect();
-        let serial = simulate_tagged(&c, &trace, &tags, &SimOptions::default()).unwrap();
+        let serial = simulate_tagged(&c, &trace, &tags, &SimOptions::cycle()).unwrap();
         for opts in [
             SimOptions::cycle().jobs(4),
             SimOptions::fast(),
@@ -1620,7 +1620,7 @@ mod tests {
         let trace = sequential_trace(0, 1 << 16, 64, Op::Read);
         let tags = vec![0u16; trace.len() - 1];
         assert!(matches!(
-            simulate_tagged(&c, &trace, &tags, &SimOptions::default()),
+            simulate_tagged(&c, &trace, &tags, &SimOptions::cycle()),
             Err(SimError::TagLength { .. })
         ));
     }

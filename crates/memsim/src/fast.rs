@@ -1,4 +1,5 @@
-//! Event-driven epoch-skipping replay (`EngineKind::Fast`).
+//! Event-driven epoch-skipping replay (`EngineKind::Fast`), the
+//! default engine.
 //!
 //! The fast engine exploits an invariant of the cycle engine's steady
 //! state: once a unit's data bus is the binding constraint, every
@@ -14,349 +15,276 @@
 //! Under those conditions [`UnitEngine::burst_core`] computes
 //! `done = bus_free + t_burst`, latency exactly `t_burst`, and touches
 //! nothing but `bus_free`, `cmd_ready`, `issued_at`, the hit counter,
-//! and the byte/burst tallies — all of which a streak of `k` such
-//! bursts updates in closed form. The engine therefore scans ahead for
-//! the longest streak of bus-limited bursts (capped at the next refresh
-//! epoch, the next **event** that could perturb the state), applies the
-//! batch update, and *skips* the `k·t_burst` dead cycles in one step.
-//! Condition 3 stays decidable during the scan without simulating: the
-//! bus pointer at streak offset `j` is exactly `bus_free + j·t_burst`,
-//! and a bank serviced earlier in the streak has
-//! `cmd_ready + t_cl == its last done cycle <= the current bus pointer`
-//! by construction.
+//! and the byte/burst tallies — all of which a batch of `k` such bursts
+//! updates in closed form. The bursts of one same-row run share a bank
+//! and row, so once a run's next burst is bus-limited, so is every
+//! later burst of the run up to the next refresh epoch (the next
+//! **event** that could perturb the state): the engine applies that
+//! batch in one step and *skips* the `k·t_burst` dead cycles.
+//!
+//! A streak spanning several runs is exactly the sum of its per-run
+//! batches. The refresh cap recomputed after `c` bursts is `k_max − c`,
+//! because the bus pointer moved by `c·t_burst`; and a bank served
+//! earlier in the streak has `cmd_ready + t_cl` equal to its last
+//! completion, which is at most the bus pointer by construction, so the
+//! check at the next run's start accepts it just as a whole-streak scan
+//! would.
 //!
 //! Any burst that fails the conditions — a conflict, an idle bank, a
 //! refresh boundary, a cold column path — is replayed through the
-//! *shared* [`UnitEngine::burst_core`], so the slow path is the cycle
+//! *shared* [`UnitEngine::burst`], so the slow path is the cycle
 //! engine's code, not a reimplementation. That, plus the closed-form
 //! algebra above, is why `EngineKind::DualCheck` and the determinism
 //! proptests hold the two engines bit-for-bit equal on every statistic
-//! (stats, vault counts, histogram buckets, energy).
+//! (stats, vault counts, histogram buckets, energy, tenant slices).
 //!
-//! # Run-granular decode
+//! # Tenant attribution
 //!
-//! Address decoding is the other per-burst cost, and it dominates once
-//! replay is batched. The engine therefore consumes the trace as
-//! same-row **runs** from [`crate::runs::RunDecoder`] — the decoder the
-//! certified bounds walk shares — which calls
-//! [`AddressMapping::decode`] once per run and reproduces the cycle
-//! engine's per-unit burst sequence exactly: same bursts, same
-//! locations, same order. The replay then consumes runs whole in the
-//! streak scan and only rematerializes individual bursts on the slow
-//! path.
+//! A run comes from one request, hence carries one tenant tag, and a
+//! batch has no activations. A batch therefore adds its byte and
+//! RD/WR burst totals to its tenant, moves the tenant's last completion
+//! to the batch's end, and sets the first completion once. Slow-path
+//! bursts go through the cycle engine's snapshot-delta attribution in
+//! [`UnitEngine::burst`].
 //!
-//! [`AddressMapping::decode`]: crate::address::AddressMapping::decode
+//! # Streaming, run-granular decode
+//!
+//! Address decoding is the other per-burst cost. The engine consumes
+//! the trace as same-row **runs** from [`crate::runs::RunDecoder`] —
+//! the decoder the certified bounds walk shares — which decodes once
+//! per run or per row stripe and reproduces the cycle engine's per-unit
+//! burst sequence exactly. Each unit keeps one pending run that absorbs
+//! column-contiguous successors of the same bank, row, op and tenant
+//! ([`UnitRun::absorb`]). The serial replay applies every finished run
+//! to its unit at once, so its memory is O(units × banks) whatever the
+//! trace's size; the vault-sharded replay buffers each unit's runs and
+//! replays them with the same per-run step. Burst counts are `u64`
+//! throughout, and nothing is reserved in proportion to bytes.
+//!
+//! Profiled runs charge every burst to a cycle window individually,
+//! which is exactly the per-burst accounting the batch elides, so they
+//! run the cycle engine.
 
+use crate::address::Location;
 use crate::config::MemoryConfig;
 use crate::engine::{
-    collect_timeline, finish_run, Burst, EngineRun, LatencyHistogram, Op, UnitEngine,
+    finish_run, Burst, EngineRun, LatencyHistogram, Op, Tenancy, TenantAccum, UnitEngine,
 };
 use crate::runs::{Run, RunDecoder};
 use crate::timing::DramTiming;
 use crate::trace::TraceBuffer;
 
-/// One unit's pre-decoded stream of same-row runs in SoA layout. The
-/// streak scan reads `bank`/`row`/`n`, the batch tally reads
-/// `head`/`total`/`write`, and only the slow path reconstructs
-/// individual bursts (via `col0` + burst arithmetic).
-#[derive(Debug, Clone, Default)]
-struct UnitStream {
-    /// `DramTiming::burst_bytes`, carried so `cum`/`burst` stay
-    /// self-contained for `par_map`.
-    burst_bytes: u64,
-    bank: Vec<u32>,
-    row: Vec<u64>,
-    /// Column byte offset of the run's first burst.
-    col0: Vec<u64>,
-    /// Bytes of the run's first burst (it may start mid-burst).
-    head: Vec<u64>,
-    /// Total bytes across the run's bursts.
-    total: Vec<u64>,
-    /// Number of bursts in the run.
-    n: Vec<u32>,
-    write: Vec<bool>,
+/// One unit's same-row run as the replay consumes it: a decoded [`Run`]
+/// (grown by the column-contiguous runs it absorbed) with its op and
+/// tenant. Only the slow path rebuilds individual bursts, from the
+/// run's first column and burst arithmetic.
+#[derive(Debug, Clone, Copy, Default)]
+struct UnitRun {
+    run: Run,
+    write: bool,
+    tenant: u16,
 }
 
-impl UnitStream {
-    fn runs(&self) -> usize {
-        self.bank.len()
+impl UnitRun {
+    /// Appends `next` when the result is burst-arithmetic-equivalent to
+    /// keeping the two apart: same bank, row, op and tenant;
+    /// column-contiguous; this run's last burst complete; and `next`
+    /// starting with a whole burst. Returns whether it did.
+    fn absorb(&mut self, next: &UnitRun, burst_bytes: u64) -> bool {
+        let (r, n) = (&mut self.run, &next.run);
+        let fits = r.loc.bank == n.loc.bank
+            && r.loc.row == n.loc.row
+            && self.write == next.write
+            && self.tenant == next.tenant
+            && r.loc.col_byte + r.total == n.loc.col_byte
+            && r.total == r.head + (r.bursts - 1) * burst_bytes
+            && n.head == burst_bytes;
+        if fits {
+            r.total += n.total;
+            r.bursts += n.bursts;
+        }
+        fits
     }
 
-    fn push(&mut self, run: &Run, write: bool) {
-        self.bank.push(run.loc.bank as u32);
-        self.row.push(run.loc.row);
-        self.col0.push(run.loc.col_byte);
-        self.head.push(run.head);
-        self.total.push(run.total);
-        self.n.push(run.bursts as u32);
-        self.write.push(write);
-    }
-
-    fn reserve(&mut self, runs: usize) {
-        self.bank.reserve(runs);
-        self.row.reserve(runs);
-        self.col0.reserve(runs);
-        self.head.reserve(runs);
-        self.total.reserve(runs);
-        self.n.reserve(runs);
-        self.write.reserve(runs);
-    }
-
-    /// Byte offset (within the run) where burst `j` starts; `j == n`
-    /// yields the run's total length.
-    fn cum(&self, r: usize, j: u32) -> u64 {
+    /// Byte offset (within the run) where burst `j` starts; `j ==
+    /// bursts` yields the run's total length.
+    fn cum(&self, j: u64, burst_bytes: u64) -> u64 {
         if j == 0 {
             0
         } else {
-            self.total[r].min(self.head[r] + (u64::from(j) - 1) * self.burst_bytes)
+            self.run.total.min(self.run.head + (j - 1) * burst_bytes)
         }
     }
 
-    /// Reconstructs burst `j` of run `r`, exactly as [`for_each_burst_tagged`]
-    /// would have produced it.
-    fn burst(&self, r: usize, j: u32, unit: usize) -> Burst {
-        let start = self.cum(r, j);
+    /// Burst `j` of the run, exactly as the cycle engine's per-burst
+    /// decode produces it.
+    fn burst(&self, j: u64, burst_bytes: u64) -> Burst {
+        let start = self.cum(j, burst_bytes);
         Burst {
-            loc: crate::address::Location {
-                unit,
-                bank: self.bank[r] as usize,
-                row: self.row[r],
-                col_byte: self.col0[r] + start,
+            loc: Location {
+                col_byte: self.run.loc.col_byte + start,
+                ..self.run.loc
             },
-            bytes: self.cum(r, j + 1) - start,
-            op: if self.write[r] { Op::Write } else { Op::Read },
-            tenant: 0,
+            bytes: self.cum(j + 1, burst_bytes) - start,
+            op: if self.write { Op::Write } else { Op::Read },
+            tenant: self.tenant,
         }
     }
 }
 
-/// The fast replay: serial when `jobs <= 1`, vault-sharded otherwise.
+/// The fast replay: streaming and serial when `jobs <= 1`,
+/// vault-sharded otherwise. Profiled runs delegate to the cycle engine.
 ///
 /// Expects a pre-validated `config` and a pre-normalized `jobs`, like
-/// [`crate::engine::run_cycle`]. Profiled runs charge every burst to a
-/// cycle window individually, which is exactly the per-burst accounting
-/// the streak batch elides — so `profile: Some(_)` delegates to the
-/// cycle path (results are identical either way; only the unprofiled
-/// replay is the throughput hot path).
+/// [`crate::engine::run_cycle`].
 pub(crate) fn run_fast(
     config: &MemoryConfig,
     trace: &TraceBuffer,
     jobs: usize,
     profile: Option<u64>,
-    tags: crate::engine::Tenancy<'_>,
+    tags: Tenancy<'_>,
 ) -> EngineRun {
-    if tags.is_some() {
-        // Tenant attribution charges every burst individually — the same
-        // per-burst accounting profiling forces — and needs the
-        // request→tag association the run decode erases. The tagged
-        // replay therefore shares the cycle path outright and is
-        // bit-exact by construction.
+    if profile.is_some() {
         return crate::engine::run_cycle(config, trace, jobs, profile, tags);
     }
-    if let Some(w) = profile {
-        let mut units: Vec<UnitEngine> = decode_streams(config, trace)
-            .iter()
-            .map(|stream| {
-                let mut unit = UnitEngine::with_timeline(config.mapping.banks_per_unit(), w);
-                for r in 0..stream.runs() {
-                    for j in 0..stream.n[r] {
-                        unit.burst(&config.timing, &stream.burst(r, j, 0));
-                    }
-                }
-                unit
-            })
-            .collect();
-        let timeline = collect_timeline(w, &mut units);
-        let mut run = finish_run(config, units);
-        run.timeline = Some(timeline);
-        return run;
-    }
-    let streams = decode_streams(config, trace);
     let t = &config.timing;
-    let banks = config.mapping.banks_per_unit();
+    let make = || {
+        let mut unit = UnitEngine::new(config.mapping.banks_per_unit());
+        if let Some((_, n)) = tags {
+            unit.tenants = Some(vec![TenantAccum::default(); n]);
+        }
+        unit
+    };
+    let units_n = config.mapping.units();
+    let tag_col = tags.map(|(col, _)| col);
     let units = if jobs <= 1 {
-        streams
-            .iter()
-            .map(|stream| replay_unit(t, banks, stream))
-            .collect()
+        let mut units: Vec<UnitEngine> = (0..units_n).map(|_| make()).collect();
+        for_each_unit_run(config, trace, tag_col, |unit, run| {
+            replay_run(&mut units[unit], t, run)
+        });
+        units
     } else {
-        mealib_types::par_map(&streams, jobs, |stream| replay_unit(t, banks, stream))
+        let mut shards: Vec<Vec<UnitRun>> = vec![Vec::new(); units_n];
+        for_each_unit_run(config, trace, tag_col, |unit, run| shards[unit].push(*run));
+        mealib_types::par_map(&shards, jobs, |runs| {
+            let mut unit = make();
+            for run in runs {
+                replay_run(&mut unit, t, run);
+            }
+            unit
+        })
     };
     finish_run(config, units)
 }
 
-/// Splits the trace into same-row runs with the shared
-/// [`RunDecoder`] and routes each to its unit's stream. Runs of whole
-/// lines coalesce with a column-contiguous tail ([`push_run`]); the
-/// rest are appended as decoded, so per-unit burst order is preserved
-/// exactly.
-fn decode_streams(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<UnitStream> {
-    let t = &config.timing;
-    let decoder = RunDecoder::new(t, &config.mapping);
-    let mut streams: Vec<UnitStream> = vec![
-        UnitStream {
-            burst_bytes: t.burst_bytes,
-            ..UnitStream::default()
-        };
-        config.mapping.units()
-    ];
-    // Upper-bound-ish run estimate: one run per decode granule of bulk
-    // traffic plus one per request (scalar gathers), split across units.
-    let units_n = streams.len() as u64;
-    let est = (trace.total_bytes() / decoder.granule() / units_n + trace.len() as u64 / units_n + 4)
-        as usize;
-    for s in streams.iter_mut() {
-        s.reserve(est);
-    }
+/// Decodes `trace` into same-row runs with the shared [`RunDecoder`]
+/// and hands each unit's runs to `sink(unit, run)` in that unit's burst
+/// order. Each unit holds one pending run that absorbs contiguous
+/// successors ([`UnitRun::absorb`]); a run is handed on once its
+/// successor on the unit does not fit, and every pending run at the end.
+fn for_each_unit_run(
+    config: &MemoryConfig,
+    trace: &TraceBuffer,
+    tags: Option<&[u16]>,
+    mut sink: impl FnMut(usize, &UnitRun),
+) {
+    let bb = config.timing.burst_bytes;
+    let decoder = RunDecoder::new(&config.timing, &config.mapping);
+    // A pending run of zero bursts is an empty slot: real runs have at
+    // least one.
+    let mut pending: Vec<UnitRun> = vec![UnitRun::default(); config.mapping.units()];
     let (addrs, bytes, ops) = (trace.addrs(), trace.bytes(), trace.ops());
     for i in 0..trace.len() {
         let write = ops[i] == Op::Write;
+        let tenant = tags.map_or(0, |col| col[i]);
         for run in decoder.runs(addrs[i], bytes[i]) {
-            let s = &mut streams[run.loc.unit];
-            if run.whole_lines {
-                push_run(s, t.burst_bytes, &run, write);
-            } else {
-                s.push(&run, write);
-            }
-        }
-    }
-    streams
-}
-
-/// Appends a run, coalescing with the stream's tail when the result is
-/// burst-arithmetic-equivalent to keeping them separate: same bank,
-/// row, and op; column-contiguous; the tail's last burst complete; and
-/// the appended run starting burst-aligned. (The bulk decode path
-/// always satisfies the alignment conditions — its runs are whole
-/// lines — so pure streams coalesce into row-length runs.)
-fn push_run(s: &mut UnitStream, burst_bytes: u64, run: &Run, write: bool) {
-    if let Some(last) = s.runs().checked_sub(1) {
-        if s.bank[last] == run.loc.bank as u32
-            && s.row[last] == run.loc.row
-            && s.write[last] == write
-            && s.col0[last] + s.total[last] == run.loc.col_byte
-            && s.total[last] == s.head[last] + u64::from(s.n[last] - 1) * burst_bytes
-            && run.head == burst_bytes
-        {
-            s.total[last] += run.total;
-            s.n[last] += run.bursts as u32;
-            return;
-        }
-    }
-    s.push(run, write);
-}
-
-/// Replays one unit's run stream with streak batching. The cursor
-/// `(r, j)` points at burst `j` of run `r`: the slow path advances it
-/// one burst at a time, the streak batch whole (or partial, at a
-/// refresh cap) runs at a time.
-fn replay_unit(t: &DramTiming, banks: usize, stream: &UnitStream) -> UnitEngine {
-    let mut u = UnitEngine::new(banks);
-    let runs = stream.runs();
-    let t_burst = t.t_burst;
-    let hit_bucket = LatencyHistogram::bucket_of(t_burst);
-    // Per-bank completion cycle of the bank's last burst in the current
-    // streak; `seen[bank] == generation` marks validity. Reused across
-    // streaks without clearing via the generation counter.
-    let mut last_done = vec![0u64; banks];
-    let mut seen = vec![0u64; banks];
-    let mut generation = 0u64;
-    let mut r = 0usize;
-    let mut j = 0u32;
-    while r < runs {
-        // A refresh owed now forces the slow path, which pays it.
-        let next_refresh = (u.refreshes_done + 1) * t.t_refi;
-        if u.bus_free >= next_refresh {
-            u.burst_core(t, &stream.burst(r, j, 0));
-            j += 1;
-            if j == stream.n[r] {
-                r += 1;
-                j = 0;
-            }
-            continue;
-        }
-        // Longest streak of bus-limited row hits before the refresh
-        // epoch: the burst at streak offset `c` sees the bus at
-        // `bus_free + c·t_burst`, so the refresh caps the streak at
-        // `ceil((next_refresh - bus_free) / t_burst)` bursts.
-        generation += 1;
-        let k_max = (next_refresh - u.bus_free).div_ceil(t_burst);
-        let mut count = 0u64;
-        let (mut rr, mut jj) = (r, j);
-        let mut bytes_read = 0u64;
-        let mut bytes_written = 0u64;
-        let mut write_bursts = 0u64;
-        while count < k_max && rr < runs {
-            let bank = stream.bank[rr] as usize;
-            let state = &u.banks[bank];
-            if state.open_row != Some(stream.row[rr]) {
-                break;
-            }
-            if seen[bank] != generation {
-                // First touch this streak: the stored cmd_ready is
-                // current. (Later touches need no check — their
-                // cmd_ready becomes `done - t_cl` of an earlier streak
-                // burst, which trails the bus pointer by construction.)
-                if state.cmd_ready + t.t_cl > u.bus_free + count * t_burst {
-                    break;
+            let next = UnitRun { run, write, tenant };
+            let unit = run.loc.unit;
+            let last = &mut pending[unit];
+            if last.run.bursts == 0 || !last.absorb(&next, bb) {
+                if last.run.bursts > 0 {
+                    sink(unit, last);
                 }
-                seen[bank] = generation;
-            }
-            // Accept the run's remaining bursts, clipped at the
-            // refresh cap; a clipped run leaves the cursor mid-run.
-            let avail = u64::from(stream.n[rr] - jj);
-            let take = avail.min(k_max - count);
-            let b = if jj == 0 && take == avail {
-                stream.total[rr]
-            } else {
-                stream.cum(rr, jj + take as u32) - stream.cum(rr, jj)
-            };
-            if stream.write[rr] {
-                bytes_written += b;
-                write_bursts += take;
-            } else {
-                bytes_read += b;
-            }
-            count += take;
-            last_done[bank] = u.bus_free + count * t_burst;
-            if take == avail {
-                rr += 1;
-                jj = 0;
-            } else {
-                jj += take as u32;
+                *last = next;
             }
         }
-        if count == 0 {
-            // Not bus-limited (conflict, idle bank, or cold column
-            // path): one exact step through the shared slow path.
-            u.burst_core(t, &stream.burst(r, j, 0));
+    }
+    for (unit, last) in pending.iter().enumerate() {
+        if last.run.bursts > 0 {
+            sink(unit, last);
+        }
+    }
+}
+
+/// Replays one run on its unit. While the run's next burst is
+/// bus-limited (see the module docs), the rest of the run up to the
+/// refresh cap is one closed-form batch; any other burst takes one
+/// exact step through the shared slow path.
+fn replay_run(u: &mut UnitEngine, t: &DramTiming, run: &UnitRun) {
+    let bb = t.burst_bytes;
+    let Location { bank, row, .. } = run.run.loc;
+    let n = run.run.bursts;
+    let mut j = 0u64;
+    while j < n {
+        let next_refresh = (u.refreshes_done + 1) * t.t_refi;
+        let state = &u.banks[bank];
+        let bus_limited = u.bus_free < next_refresh
+            && state.open_row == Some(row)
+            && state.cmd_ready + t.t_cl <= u.bus_free;
+        if !bus_limited {
+            u.burst(t, &run.burst(j, bb));
             j += 1;
-            if j == stream.n[r] {
-                r += 1;
-                j = 0;
-            }
             continue;
         }
-        // Closed-form batch update for `count` bus-limited bursts —
-        // each line mirrors what burst_core's hit arm would have done
-        // `count` times over.
-        u.bytes_read += bytes_read;
-        u.bytes_written += bytes_written;
-        u.vault.read_bursts += count - write_bursts;
+        // The burst at batch offset `c` sees the bus at
+        // `bus_free + c·t_burst`, so the refresh caps the batch at
+        // `ceil((next_refresh - bus_free) / t_burst)` bursts. The
+        // division is only needed when the cap bites.
+        let room = next_refresh - u.bus_free;
+        let take = if (n - j - 1).saturating_mul(t.t_burst) < room {
+            n - j
+        } else {
+            room.div_ceil(t.t_burst)
+        };
+        let bytes = if j == 0 && take == n {
+            run.run.total
+        } else {
+            run.cum(j + take, bb) - run.cum(j, bb)
+        };
+        let write_bursts = if run.write { take } else { 0 };
+        let first_done = u.bus_free + t.t_burst;
+        // Closed-form update for `take` bus-limited bursts — each line
+        // mirrors what burst_core's hit arm would have done `take` times
+        // over.
+        if run.write {
+            u.bytes_written += bytes;
+        } else {
+            u.bytes_read += bytes;
+        }
+        u.vault.read_bursts += take - write_bursts;
         u.vault.write_bursts += write_bursts;
-        u.vault.row_hits += count;
-        u.latencies.record_n(hit_bucket, count);
-        u.bus_free += count * t_burst;
+        u.vault.row_hits += take;
+        u.latencies
+            .record_n(LatencyHistogram::bucket_of(t.t_burst), take);
+        u.bus_free += take * t.t_burst;
         u.issued_at = u.bus_free;
-        for (bank, state) in u.banks.iter_mut().enumerate() {
-            if seen[bank] == generation {
-                state.cmd_ready = last_done[bank] - t.t_cl;
+        u.banks[bank].cmd_ready = u.bus_free.saturating_sub(t.t_cl);
+        if let Some(tenants) = u.tenants.as_mut() {
+            let acc = &mut tenants[run.tenant as usize];
+            if run.write {
+                acc.bytes_written += bytes;
+            } else {
+                acc.bytes_read += bytes;
+            }
+            acc.read_bursts += take - write_bursts;
+            acc.write_bursts += write_bursts;
+            acc.last_done = acc.last_done.max(u.bus_free);
+            if acc.first_done == 0 {
+                acc.first_done = first_done;
             }
         }
-        r = rr;
-        j = jj;
+        j += take;
     }
-    u
 }
 
 #[cfg(test)]
@@ -377,6 +305,18 @@ mod tests {
         assert_eq!(dual, cycle, "{what} (dual)");
     }
 
+    /// Per-unit bursts of the run decode, expanded back one by one.
+    fn decoded_bursts(config: &MemoryConfig, trace: &TraceBuffer) -> Vec<Vec<Burst>> {
+        let bb = config.timing.burst_bytes;
+        let mut got: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
+        for_each_unit_run(config, trace, None, |unit, run| {
+            for j in 0..run.run.bursts {
+                got[unit].push(run.burst(j, bb));
+            }
+        });
+        got
+    }
+
     #[test]
     fn run_decode_reproduces_the_per_burst_decode() {
         // The run decomposition must concatenate back into exactly the
@@ -389,42 +329,71 @@ mod tests {
             row_bytes: 4096,
             line_bytes: 256,
         };
+        // The asymmetric DIMM layer, split mid-row and off the line grid.
+        let split = (3 << 20) + 8192 * 3 + 1000;
+        let mut asym = MemoryConfig::ddr_dual_channel();
+        asym.mapping = crate::address::asymmetric_dimms(mealib_types::PhysAddr::new(split));
+        // hmc_stack super-lines are 32 × 256 B = 8 KiB; a 4 KiB row
+        // holds 16 of them per unit, so a row stripe is 128 KiB.
+        let stripe_requests = [
+            Request::read(1 << 23, 1 << 20), // stripe-aligned 1 MiB
+            Request::write((1 << 23) + 5 * 8192, 16 << 10), // mid-row super-line, 16 KiB
+            Request::read((1 << 24) + 3 * 8192, 200 << 10), // ends mid-stripe
+            Request::read((1 << 24) + 8192 + 512, 40 << 10), // mid-super-line start
+            Request::write((1 << 25) + 8192 * 15, 3 * 8192 + 96), // crosses a row, ragged end
+            Request::read(split - 20_000, 1 << 20), // straddles the split
+            Request::write(split - 64, 16 << 10),
+        ];
         for config in [
             MemoryConfig::hmc_stack(),
             MemoryConfig::ddr_dual_channel(),
             MemoryConfig::msas_dram(),
             xor_stack,
+            asym,
         ] {
             let mut trace = sequential_trace(0, 1 << 20, 256, Op::Read);
             trace.extend(strided_trace(1 << 22, 8192, 64, 512, Op::Write).iter());
             trace.push(Request::read(30, 100));
             trace.push(Request::read(5, 1));
             trace.push(Request::write(4093, 10)); // straddles a row edge
+            for r in stripe_requests {
+                trace.push(r);
+            }
             let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
             for_each_burst_tagged(&config.timing, &config.mapping, &trace, None, |b| {
                 expected[b.loc.unit].push(b)
             });
-            let streams = decode_streams(&config, &trace);
-            for (unit, stream) in streams.iter().enumerate() {
-                let mut got = Vec::new();
-                for r in 0..stream.runs() {
-                    for j in 0..stream.n[r] {
-                        got.push(stream.burst(r, j, unit));
-                    }
-                }
-                assert_eq!(
-                    got.len(),
-                    expected[unit].len(),
-                    "{}: unit {unit}",
-                    config.name
-                );
-                for (g, e) in got.iter().zip(&expected[unit]) {
+            let got = decoded_bursts(&config, &trace);
+            for (unit, (got, want)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(got.len(), want.len(), "{}: unit {unit}", config.name);
+                for (g, e) in got.iter().zip(want) {
                     assert_eq!(g.loc, e.loc, "{}: unit {unit}", config.name);
                     assert_eq!(g.bytes, e.bytes, "{}: unit {unit}", config.name);
                     assert_eq!(g.op, e.op, "{}: unit {unit}", config.name);
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_huge_request_replays_without_a_byte_sized_reservation() {
+        // Regression: a 256 GiB read inside one 2^40-byte row is one run
+        // of 2^32 bursts. Burst counts past u32 must not truncate, and
+        // nothing may be allocated in proportion to the bytes.
+        let mut c = MemoryConfig::ddr_dual_channel();
+        c.mapping = AddressMapping::Interleaved {
+            units: 1,
+            banks_per_unit: 8,
+            row_bytes: 1 << 40,
+            line_bytes: 64,
+        };
+        let trace = TraceBuffer::from(&[Request::read(0, 256 << 30)]);
+        let bounds = crate::bounds::trace_bounds(&c, &trace).unwrap();
+        assert_eq!(bounds.read_bursts.lo, (1u64 << 32) as f64);
+        let run = simulate(&c, &trace, &SimOptions::fast()).unwrap();
+        assert_eq!(run.vaults[0].read_bursts as f64, bounds.read_bursts.lo);
+        assert_eq!(run.stats.bytes_read.get(), 256 << 30);
+        assert!(bounds.check_contains(&run.stats).is_none());
     }
 
     #[test]
@@ -504,6 +473,6 @@ mod tests {
         assert_eq!(opts.engine, EngineKind::DualCheck);
         assert_eq!(SimOptions::fast().engine, EngineKind::Fast);
         assert_eq!(SimOptions::cycle().engine, EngineKind::Cycle);
-        assert_eq!(SimOptions::default().engine, EngineKind::Cycle);
+        assert_eq!(SimOptions::default().engine, EngineKind::Fast);
     }
 }

@@ -11,8 +11,8 @@
 //!   to carve a contiguous DIMM out of a commodity system (§4.2);
 //! * [`engine`] — a dual-engine bank/vault/bus simulator behind one
 //!   [`engine::simulate`] entry point: a cycle-accurate oracle and a
-//!   bit-exact event-driven epoch-skipping fast engine, replaying SoA
-//!   [`trace::TraceBuffer`] request traces;
+//!   bit-exact event-driven epoch-skipping fast engine (the default),
+//!   replaying SoA [`trace::TraceBuffer`] request traces;
 //! * [`runs`] — the request → same-row run decoder shared by the fast
 //!   engine and the certified [`bounds`] walk;
 //! * [`pattern::AccessPattern`] + [`analytic`] — closed-form estimates of

@@ -7,11 +7,27 @@
 //! consecutive bursts of one request whose start addresses fall inside
 //! one contiguous `(unit, bank, row)` span, as advertised by
 //! [`AddressMapping::contiguous_run_bytes`]. [`RunDecoder`] calls
-//! [`AddressMapping::decode`] once per run — or once per aligned
-//! super-line of whole lines on the bulk path — and derives the burst
-//! boundaries inside a run by arithmetic. Concatenating the runs in
-//! emission order reproduces the per-burst decode exactly: same bursts,
-//! same locations, same order within each unit.
+//! [`AddressMapping::decode`] once per run, or once per *row stripe* on
+//! the bulk path, and derives the burst boundaries inside a run by
+//! arithmetic. Concatenating the runs in emission order reproduces the
+//! per-burst decode exactly: same bursts, same locations, same order
+//! within each unit. Only the order *across* units inside one request
+//! may differ, which no consumer observes: engine state is per unit,
+//! and the bounds composer snapshots at request granularity.
+//!
+//! # Row stripes
+//!
+//! On an interleaved layer a **super-line** is `units × line_bytes`
+//! aligned bytes: one line on each unit, all at the same bank, row and
+//! column. Inside a unit, super-line `s` sits at `within_unit =
+//! s·line_bytes`, so the unit's lines of consecutive super-lines are
+//! column-contiguous in one bank and row until the row ends. The XOR
+//! unit fold only permutes units within a super-line, and its bank fold
+//! keys on the row. A request that starts on a super-line boundary
+//! therefore decodes `k` whole super-lines at once — `k = min(remaining
+//! / super-line, (row_bytes − col_byte) / line_bytes)` — as one `k`-line
+//! run per unit: certification and replay cost scale with row stripes,
+//! not lines.
 
 use mealib_types::PhysAddr;
 
@@ -20,7 +36,7 @@ use crate::timing::DramTiming;
 
 /// Consecutive bursts of one request that share one `(unit, bank,
 /// row)`, with column offsets advancing contiguously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Run {
     /// Location of the run's first burst.
     pub loc: Location,
@@ -30,10 +46,6 @@ pub struct Run {
     pub total: u64,
     /// Number of bursts in the run.
     pub bursts: u64,
-    /// `true` for runs of whole, burst-aligned lines from the bulk
-    /// path: such a run may be coalesced with a column-contiguous
-    /// predecessor without changing the burst arithmetic.
-    pub whole_lines: bool,
 }
 
 /// Splits requests into [`Run`]s under one timing and mapping.
@@ -41,8 +53,9 @@ pub struct Run {
 pub struct RunDecoder<'a> {
     mapping: &'a AddressMapping,
     burst_bytes: u64,
-    /// `(units, line_bytes, xor)` when the bulk super-line path applies.
-    bulk: Option<(u64, u64, bool)>,
+    /// `(units, line_bytes, row_bytes, xor)` when the bulk super-line
+    /// path applies.
+    bulk: Option<(u64, u64, u64, bool)>,
 }
 
 impl<'a> RunDecoder<'a> {
@@ -60,14 +73,20 @@ impl<'a> RunDecoder<'a> {
         // unit index varies, by the same fold `decode` applies.
         let bulk = match *mapping {
             AddressMapping::Interleaved {
-                units, line_bytes, ..
+                units,
+                line_bytes,
+                row_bytes,
+                ..
             } if units > 1 && line_bytes % burst_bytes == 0 => {
-                Some((units as u64, line_bytes, false))
+                Some((units as u64, line_bytes, row_bytes, false))
             }
             AddressMapping::XorInterleaved {
-                units, line_bytes, ..
+                units,
+                line_bytes,
+                row_bytes,
+                ..
             } if units > 1 && units.is_power_of_two() && line_bytes % burst_bytes == 0 => {
-                Some((units as u64, line_bytes, true))
+                Some((units as u64, line_bytes, row_bytes, true))
             }
             _ => None,
         };
@@ -78,13 +97,6 @@ impl<'a> RunDecoder<'a> {
         }
     }
 
-    /// Bytes one decode covers on long aligned requests: a line on the
-    /// bulk path, else a burst. Callers size run buffers with it.
-    pub fn granule(&self) -> u64 {
-        self.bulk
-            .map_or(self.burst_bytes, |(_, line_bytes, _)| line_bytes)
-    }
-
     /// The runs of the request `[addr, addr + bytes)`, in burst order.
     #[inline]
     pub fn runs(&self, addr: u64, bytes: u64) -> Runs<'_> {
@@ -92,15 +104,11 @@ impl<'a> RunDecoder<'a> {
             decoder: self,
             addr,
             remaining: bytes,
-            lines_left: 0,
+            runs_left: 0,
+            run_lines: 0,
             next_line: 0,
             hash: 0,
-            line_loc: Location {
-                unit: 0,
-                bank: 0,
-                row: 0,
-                col_byte: 0,
-            },
+            line_loc: Location::default(),
         }
     }
 }
@@ -113,13 +121,15 @@ pub struct Runs<'d> {
     addr: u64,
     /// Bytes from `addr` to the end of the request.
     remaining: u64,
-    /// Whole lines of the current super-line still to emit.
-    lines_left: u64,
-    /// Super-line position (`line % units`) of the next pending line.
+    /// Bulk runs of the current decode still to emit, one per unit.
+    runs_left: u64,
+    /// Whole lines in each of those runs: `k` on a row stripe, else 1.
+    run_lines: u64,
+    /// Super-line position (`line % units`) of the next pending run.
     next_line: u64,
-    /// XOR unit-fold key of the current super-line.
+    /// XOR unit-fold key of the current (first) super-line.
     hash: u64,
-    /// Bank, row, and column shared by the super-line's lines.
+    /// Bank, row, and column shared by the pending runs.
     line_loc: Location,
 }
 
@@ -130,32 +140,48 @@ impl Iterator for Runs<'_> {
     fn next(&mut self) -> Option<Run> {
         let d = self.decoder;
         let bb = d.burst_bytes;
-        if self.lines_left == 0 {
+        if self.runs_left == 0 {
             if self.remaining == 0 {
                 return None;
             }
             match d.bulk {
-                Some((units, line_bytes, _))
+                Some((units, line_bytes, row_bytes, _))
                     if self.addr.is_multiple_of(line_bytes) && self.remaining >= line_bytes =>
                 {
-                    // One decode for the aligned stretch of lines up to
-                    // the super-line's end; only the unit index varies
-                    // across it, by the fold `decode` applies to line
-                    // `j0 + j` (same hash, same super-line).
+                    // One decode for the aligned stretch; only the unit
+                    // index varies across it, by the fold `decode`
+                    // applies to line `j0 + j` of the first super-line
+                    // (same hash). From a super-line boundary the
+                    // stretch is a row stripe of `k` whole super-lines,
+                    // emitted as one `k`-line run per unit (each unit's
+                    // lines in the later super-lines follow at the next
+                    // columns of the same bank and row); otherwise it is
+                    // the lines up to the super-line's end.
                     let line = self.addr / line_bytes;
                     let j0 = line % units;
-                    let m = (self.remaining / line_bytes).min(units - j0);
                     self.line_loc = d.mapping.decode(PhysAddr::new(self.addr));
-                    self.lines_left = m;
+                    let k = if j0 == 0 {
+                        (self.remaining / (units * line_bytes))
+                            .min((row_bytes - self.line_loc.col_byte) / line_bytes)
+                    } else {
+                        0
+                    };
+                    let (runs, lines) = if k > 0 {
+                        (units, k)
+                    } else {
+                        ((self.remaining / line_bytes).min(units - j0), 1)
+                    };
+                    self.runs_left = runs;
+                    self.run_lines = lines;
                     self.next_line = j0;
                     self.hash = line / units;
-                    self.addr += m * line_bytes;
-                    self.remaining -= m * line_bytes;
+                    self.addr += runs * lines * line_bytes;
+                    self.remaining -= runs * lines * line_bytes;
                 }
                 _ => return Some(self.scalar_run()),
             }
         }
-        let (units, line_bytes, xor) = d.bulk.expect("pending lines come from the bulk path");
+        let (units, line_bytes, _, xor) = d.bulk.expect("pending runs come from the bulk path");
         let j = self.next_line;
         let unit = if xor {
             ((j ^ self.hash) % units) as usize
@@ -163,16 +189,16 @@ impl Iterator for Runs<'_> {
             j as usize
         };
         self.next_line += 1;
-        self.lines_left -= 1;
+        self.runs_left -= 1;
+        let total = self.run_lines * line_bytes;
         Some(Run {
             loc: Location {
                 unit,
                 ..self.line_loc
             },
             head: bb,
-            total: line_bytes,
-            bursts: line_bytes / bb,
-            whole_lines: true,
+            total,
+            bursts: total / bb,
         })
     }
 }
@@ -216,7 +242,29 @@ impl Runs<'_> {
             head,
             total,
             bursts: 1 + extra,
-            whole_lines: false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::MemoryConfig;
+
+    #[test]
+    fn row_stripes_decode_once_per_unit() {
+        // One 128 KiB row stripe on hmc_stack is one 16-line run per
+        // unit; the next super-line boundary past a row end starts the
+        // next stripe.
+        let c = MemoryConfig::hmc_stack();
+        let decoder = RunDecoder::new(&c.timing, &c.mapping);
+        let runs: Vec<Run> = decoder.runs(1 << 23, 128 << 10).collect();
+        assert_eq!(runs.len(), c.mapping.units());
+        assert!(runs
+            .iter()
+            .all(|r| r.total == 16 * 256 && r.loc.col_byte == 0));
+        let runs: Vec<Run> = decoder.runs((1 << 23) + 12 * 8192, 8 * 8192).collect();
+        assert_eq!(runs.len(), 2 * c.mapping.units());
+        assert!(runs.iter().all(|r| r.total == 4 * 256));
     }
 }

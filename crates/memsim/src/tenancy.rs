@@ -12,9 +12,11 @@
 //!
 //! The merged trace replays through [`crate::engine::simulate_tagged`],
 //! which attributes bytes, bursts, activations, completion time, and
-//! energy back to each tenant. That per-tenant measurement is the
-//! ground truth the `mealib-verify` interference certifier (MEA3xx) is
-//! proven sound against.
+//! energy back to each tenant — on the fast engine by default, per
+//! closed-form batch, bit-exact with the cycle engine's per-burst
+//! attribution (`DualCheck` compares the two). That per-tenant
+//! measurement is the ground truth the `mealib-verify` interference
+//! certifier (MEA3xx) is proven sound against.
 
 use crate::config::MemoryConfig;
 use crate::engine::{simulate_tagged, EngineRun, SimError, SimOptions, TenantStats};
@@ -176,7 +178,7 @@ mod tests {
         let c = MemoryConfig::hmc_stack();
         let s = streams();
         let (merged, _) = interleave_tenants(&s);
-        let plain = simulate(&c, &merged, &SimOptions::default()).unwrap();
+        let plain = simulate(&c, &merged, &SimOptions::cycle()).unwrap();
         let tenants = simulate_tenants(&c, &s, &SimOptions::dual_check()).unwrap();
         assert_eq!(tenants.stats, plain.stats);
         assert_eq!(tenants.vaults, plain.vaults);
@@ -247,7 +249,7 @@ mod tests {
             TenantStream::new(sequential_trace(0, 4096, 64, Op::Read)),
             TenantStream::new(TraceBuffer::new()),
         ];
-        let run = simulate_tenants(&c, &with_idle, &SimOptions::default()).unwrap();
+        let run = simulate_tenants(&c, &with_idle, &SimOptions::cycle()).unwrap();
         assert_eq!(run.tenants[1].first_cycles.get(), 0);
         assert_eq!(run.tenants[1].first_elapsed.get(), 0.0);
     }
@@ -259,7 +261,7 @@ mod tests {
             TenantStream::new(sequential_trace(0, 4096, 64, Op::Read)),
             TenantStream::new(TraceBuffer::new()),
         ];
-        let run = simulate_tenants(&c, &s, &SimOptions::default()).unwrap();
+        let run = simulate_tenants(&c, &s, &SimOptions::cycle()).unwrap();
         assert_eq!(run.tenants.len(), 2);
         assert_eq!(run.tenants[1], TenantStats::default());
     }

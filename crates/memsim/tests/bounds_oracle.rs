@@ -8,8 +8,10 @@
 //! holds the two equal field by field, to the bit, on random traces
 //! over every mapping shape: interleaved with one unit and with many,
 //! XOR-hashed, asymmetric with an unaligned split, lines that are not a
-//! whole number of bursts, and unaligned, sub-burst, and
-//! split-straddling requests.
+//! whole number of bursts, the HMC stack and its XOR twin, the
+//! asymmetric DIMM layer; and unaligned, sub-burst, split-straddling and
+//! row-stripe requests (16 KiB to 1 MiB, from a super-line boundary
+//! anywhere in a row, ending mid-stripe).
 
 use mealib_memsim::address::AddressMapping;
 use mealib_memsim::bounds::{trace_bounds, BoundsWalk, TraceBounds};
@@ -137,6 +139,13 @@ enum Shape {
     AsymUnaligned,
     /// Interleaved with lines that are not a whole number of bursts.
     SubBurstLines,
+    /// The HMC stack preset: 32 units × 256 B lines, 4 KiB rows.
+    HmcStack,
+    /// The HMC stack's XOR twin.
+    HmcXor,
+    /// The asymmetric DIMM layer (two interleaved channels below the
+    /// split, one contiguous above).
+    AsymDimms,
 }
 
 /// Split point for the asymmetric shape: deliberately not aligned to a
@@ -196,6 +205,22 @@ fn config_for(
                 line_bytes: if base == 0 { line_bytes } else { 16 },
             }
         }
+        Shape::HmcStack => return MemoryConfig::hmc_stack(),
+        Shape::HmcXor => {
+            let mut cfg = MemoryConfig::hmc_stack();
+            cfg.mapping = AddressMapping::XorInterleaved {
+                units: 32,
+                banks_per_unit: 8,
+                row_bytes: 4096,
+                line_bytes: 256,
+            };
+            return cfg;
+        }
+        Shape::AsymDimms => {
+            let mut cfg = MemoryConfig::ddr_dual_channel();
+            cfg.mapping = mealib_memsim::address::asymmetric_dimms(PhysAddr::new(SPLIT));
+            return cfg;
+        }
     };
     cfg
 }
@@ -208,6 +233,9 @@ fn config_strategy() -> impl Strategy<Value = MemoryConfig> {
             Shape::Xor,
             Shape::AsymUnaligned,
             Shape::SubBurstLines,
+            Shape::HmcStack,
+            Shape::HmcXor,
+            Shape::AsymDimms,
         ]),
         proptest::sample::select(vec![2usize, 3, 4, 8, 32]),
         proptest::sample::select(vec![1usize, 2, 8]),
@@ -231,6 +259,11 @@ enum Kind {
     LongAligned,
     /// Starts just below the asymmetric split and runs across it.
     StraddlesSplit,
+    /// 16 KiB to 1 MiB from an 8 KiB boundary (an HMC super-line,
+    /// anywhere in its row), often ending mid-stripe.
+    Stripe,
+    /// 1 MiB from a line boundary up to 64 KiB below the split.
+    LongAcrossSplit,
 }
 
 fn request_strategy() -> impl Strategy<Value = Request> {
@@ -240,6 +273,8 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             Kind::SubBurst,
             Kind::LongAligned,
             Kind::StraddlesSplit,
+            Kind::Stripe,
+            Kind::LongAcrossSplit,
         ]),
         0u64..(1 << 23),
         1u64..4096,
@@ -251,6 +286,8 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                 Kind::SubBurst => (addr, 1 + len % 80),
                 Kind::LongAligned => (addr & !1023, 1024 * (1 + len % 96)),
                 Kind::StraddlesSplit => (SPLIT - 1 - addr % 600, len),
+                Kind::Stripe => (addr & !8191, 16384 * (1 + len % 64) + len % 3 * 96),
+                Kind::LongAcrossSplit => ((SPLIT - 1 - len * 16) & !63, 1 << 20),
             };
             if write {
                 Request::write(addr, bytes)
@@ -296,6 +333,8 @@ fn preset_streams_agree_with_the_oracle() {
         MemoryConfig::hmc_stack(),
         MemoryConfig::ddr_dual_channel(),
         MemoryConfig::msas_dram(),
+        config_for(Shape::HmcXor, 0, 0, 0, 0, 0),
+        config_for(Shape::AsymDimms, 0, 0, 0, 0, 0),
     ] {
         let mut trace = mealib_memsim::engine::sequential_trace(0, 1 << 20, 256, Op::Read);
         trace.extend(&mealib_memsim::engine::strided_trace(
@@ -307,6 +346,12 @@ fn preset_streams_agree_with_the_oracle() {
         ));
         trace.push(Request::read(4093, 10));
         trace.push(Request::write(7, 0));
+        // Row stripes: aligned 1 MiB, a mid-row 16 KiB, one ending
+        // mid-stripe, and 1 MiB across the asymmetric split.
+        trace.push(Request::read(1 << 23, 1 << 20));
+        trace.push(Request::write((1 << 23) + 5 * 8192, 16 << 10));
+        trace.push(Request::read((1 << 24) + 3 * 8192, (200 << 10) + 96));
+        trace.push(Request::read((SPLIT - 20_000) & !255, 1 << 20));
         assert_walks_agree(&cfg, &trace);
     }
 }

@@ -15,6 +15,12 @@
 //!    adversarial traces: row-conflict storms, single-vault hotspots,
 //!    zero-length and max-burst requests.
 //!
+//! 3. **tagged fast ≡ tagged cycle** — multi-tenant replays through
+//!    `simulate_tenants` under `DualCheck` hold the fast engine's
+//!    per-batch tenant attribution equal to the cycle engine's
+//!    per-burst attribution, on gathers, line-sized and row-stripe
+//!    requests.
+//!
 //! These properties are what make `--jobs N` and `EngineKind::Fast`
 //! shippable: the parallel run and the fast run are not "close", they
 //! are the same run.
@@ -22,7 +28,7 @@
 use mealib_memsim::address::AddressMapping;
 use mealib_memsim::engine::{simulate, EngineKind, EngineRun, Request, SimError, SimOptions};
 use mealib_memsim::trace::TraceBuffer;
-use mealib_memsim::MemoryConfig;
+use mealib_memsim::{simulate_tenants, MemoryConfig, TenantStream};
 use mealib_obs::timeline::WindowCounters;
 use mealib_types::PhysAddr;
 use proptest::prelude::*;
@@ -322,6 +328,83 @@ proptest! {
                 let parallel = simulate(&cfg, &trace, &opts).expect("valid config");
                 prop_assert_eq!(&parallel, &serial, "{} {:?} jobs={}", cfg.name, engine, jobs);
                 assert_bit_exact(&parallel, &serial, &format!("{} {engine:?} jobs={jobs}", cfg.name));
+            }
+        }
+    }
+}
+
+/// The presets a serving replay runs on: the HMC stack, the DDR
+/// channels, the stack's XOR twin, and the asymmetric DIMM layer.
+fn tenancy_preset_strategy() -> impl Strategy<Value = MemoryConfig> {
+    let mut xor = MemoryConfig::hmc_stack();
+    xor.mapping = AddressMapping::XorInterleaved {
+        units: 32,
+        banks_per_unit: 8,
+        row_bytes: 4096,
+        line_bytes: 256,
+    };
+    let mut asym = MemoryConfig::ddr_dual_channel();
+    asym.mapping = mealib_memsim::address::asymmetric_dimms(PhysAddr::new((1 << 20) + 4096 + 3));
+    proptest::sample::select(vec![
+        MemoryConfig::hmc_stack(),
+        MemoryConfig::ddr_dual_channel(),
+        xor,
+        asym,
+    ])
+}
+
+/// One tenant request: a scalar gather, a line-sized access, a
+/// stripe-sized run of whole super-lines (HMC super-lines are 8 KiB,
+/// its row stripes 128 KiB; DDR stripes are 16 KiB), or one of four
+/// adjacent super-lines, so that co-tenants' runs meet column to
+/// column on the same units.
+fn tenant_request_strategy() -> impl Strategy<Value = Request> {
+    (0u8..4, 0u64..(1 << 21), 1u64..16, any::<bool>()).prop_map(|(kind, addr, n, write)| {
+        let (addr, bytes) = match kind {
+            0 => (addr, 1 + n % 8),
+            1 => (addr & !255, 256),
+            2 => (addr & !8191, 8192 * (1 + n)),
+            _ => (8192 * (n % 4), 8192),
+        };
+        if write {
+            Request::write(addr, bytes)
+        } else {
+            Request::read(addr, bytes)
+        }
+    })
+}
+
+fn tenant_stream_strategy() -> impl Strategy<Value = TenantStream> {
+    (
+        proptest::collection::vec(tenant_request_strategy(), 0..8),
+        0u64..8,
+    )
+        .prop_map(|(reqs, arrival)| TenantStream::new(TraceBuffer::from(reqs)).arriving_at(arrival))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Tagged `DualCheck` compares the fast engine's batch attribution
+    /// with the cycle engine's per-burst attribution, and the tenant
+    /// slices partition the aggregate traffic.
+    #[test]
+    fn tagged_dual_check_holds_on_serving_mixes(
+        cfg in tenancy_preset_strategy(),
+        streams in proptest::collection::vec(tenant_stream_strategy(), 1..=6),
+    ) {
+        for jobs in [1usize, 2] {
+            let run = simulate_tenants(&cfg, &streams, &SimOptions::dual_check().jobs(jobs))
+                .unwrap_or_else(|e| panic!("{} jobs={jobs}: {e}", cfg.name));
+            prop_assert_eq!(run.tenants.len(), streams.len());
+            let read: u64 = run.tenants.iter().map(|t| t.bytes_read.get()).sum();
+            let written: u64 = run.tenants.iter().map(|t| t.bytes_written.get()).sum();
+            let bursts: u64 = run.tenants.iter().map(|t| t.read_bursts + t.write_bursts).sum();
+            prop_assert_eq!(read, run.stats.bytes_read.get());
+            prop_assert_eq!(written, run.stats.bytes_written.get());
+            prop_assert_eq!(bursts, run.stats.row_hits + run.stats.row_misses);
+            for (i, t) in run.tenants.iter().enumerate() {
+                prop_assert!(t.first_cycles <= t.cycles, "{} tenant {i}", cfg.name);
             }
         }
     }

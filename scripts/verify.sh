@@ -16,6 +16,14 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+# The serving soak tests (>=10k sessions, bounded queue, zero drift)
+# are too slow for a debug build, so `--workspace` skips them as
+# ignored; run them here in release.
+echo "==> serve soak tests (release, ignored by default)"
+t0=$(date +%s)
+cargo test -q --release -p mealib-serve --test soak -- --ignored
+echo "serve soak tests: $(( $(date +%s) - t0 )) s"
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
