@@ -9,14 +9,18 @@
 //! Two sweep strategies share one grid:
 //!
 //! * [`sweep_with`] evaluates every point in full, including the
-//!   optional cycle-engine bandwidth cross-check;
+//!   optional fast-engine bandwidth cross-check;
 //! * [`sweep_pruned`] first prices every point with the closed-form
 //!   static bounds from [`point_bounds`] plus the analytic model, then
-//!   replays the cycle engine only for points no certified point
-//!   dominates. Pruning is provably frontier-preserving: a point is
-//!   skipped only when its certified price is dominated under the same
-//!   tolerance [`pareto_frontier`] uses, so the pruned sweep's frontier
-//!   is bit-identical to the full sweep's.
+//!   fully evaluates only the points no certified point dominates.
+//!   Pruning is provably frontier-preserving: a point is skipped only
+//!   when its certified price is dominated under the same tolerance
+//!   [`pareto_frontier`] uses, so the pruned sweep's frontier is
+//!   bit-identical to the full sweep's.
+//!
+//! The cross-check depends only on a point's memory configuration, and
+//! the grid varies that along one axis (the row-buffer size), so each
+//! sweep replays it once per distinct row size, not once per point.
 
 use mealib_memsim::{AccessPattern, MemoryConfig};
 use mealib_tdl::AcceleratorKind;
@@ -48,7 +52,7 @@ pub struct DesignPoint {
     pub gflops: f64,
     /// Average power, W.
     pub power_w: f64,
-    /// Cycle-engine cross-check: achieved GB/s replaying a sequential
+    /// Fast-engine cross-check: achieved GB/s replaying a sequential
     /// stream over this point's memory configuration. `0.0` when the
     /// check is disabled ([`SweepOptions::engine_check_bytes`] = 0).
     pub engine_gbps: f64,
@@ -92,16 +96,16 @@ impl Default for SweepGrid {
 }
 
 /// Execution options for [`sweep_with`]: worker-pool width and the
-/// optional cycle-engine cross-check.
+/// optional fast-engine cross-check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Worker threads for the design-point fan-out (`1` = serial).
     /// Points are independent, so the output is identical for any
     /// value — only wall-clock time changes.
     pub jobs: usize,
-    /// Bytes of sequential traffic to replay through the cycle engine
-    /// at every point (fills [`DesignPoint::engine_gbps`]); `0` skips
-    /// the replay.
+    /// Bytes of sequential traffic to replay through the fast engine
+    /// per distinct memory configuration (fills
+    /// [`DesignPoint::engine_gbps`]); `0` skips the replay.
     pub engine_check_bytes: u64,
 }
 
@@ -133,8 +137,9 @@ pub fn sweep(
 /// Like [`sweep`], but with explicit execution options: design points
 /// are priced on up to `opts.jobs` worker threads (grid order is
 /// preserved regardless), and when `opts.engine_check_bytes > 0` each
-/// point additionally replays that much sequential traffic through the
-/// cycle engine to cross-check the analytic bandwidth model.
+/// point's memory configuration additionally replays that much
+/// sequential traffic through the fast engine to cross-check the
+/// analytic bandwidth model (once per distinct configuration).
 ///
 /// # Panics
 ///
@@ -149,6 +154,7 @@ pub fn sweep_with(
     assert_eq!(workload.kind(), kind, "workload/accelerator mismatch");
     let model = AccelModel::new(kind);
     let cells = grid_cells(grid);
+    let engine_gbps = engine_checks(base_mem, cells.iter().map(|c| c.3), opts);
     mealib_types::par_map(&cells, opts.jobs, |cell| {
         let (hw, mem) = configure(base_mem, *cell);
         let report = model.execute(workload, &hw, &mem);
@@ -159,7 +165,7 @@ pub fn sweep_with(
             row_bytes: cell.3,
             gflops: report.gflops().get(),
             power_w: report.power().get(),
-            engine_gbps: engine_check(&mem, opts.engine_check_bytes),
+            engine_gbps: engine_gbps(cell.3),
         }
     })
 }
@@ -188,6 +194,12 @@ fn configure(
         .with_frequency(Hertz::from_ghz(f))
         .with_cores(cores)
         .with_block_elems(block);
+    (hw, memory_at(base_mem, row))
+}
+
+/// The memory configuration of a cell with row-buffer size `row`: the
+/// only memory axis of the grid.
+fn memory_at(base_mem: &MemoryConfig, row: u64) -> MemoryConfig {
     let mut mem = base_mem.clone();
     if let mealib_memsim::AddressMapping::Interleaved {
         ref mut row_bytes, ..
@@ -195,7 +207,24 @@ fn configure(
     {
         *row_bytes = row;
     }
-    (hw, mem)
+    mem
+}
+
+/// Runs [`engine_check`] once per distinct memory configuration among
+/// the cells with row sizes `rows`, on up to `opts.jobs` workers, and
+/// returns the lookup from a cell's row size to its result.
+fn engine_checks(
+    base_mem: &MemoryConfig,
+    rows: impl Iterator<Item = u64>,
+    opts: &SweepOptions,
+) -> impl Fn(u64) -> f64 {
+    let mut rows: Vec<u64> = rows.collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let gbps = mealib_types::par_map(&rows, opts.jobs, |&row| {
+        engine_check(&memory_at(base_mem, row), opts.engine_check_bytes)
+    });
+    move |row| gbps[rows.binary_search(&row).expect("row size of a swept cell")]
 }
 
 /// Replays `bytes` of sequential reads through the fast engine over
@@ -221,7 +250,7 @@ fn engine_check(mem: &MemoryConfig, bytes: u64) -> f64 {
 /// on achieved GFLOPS and average power derived from the roofline of
 /// the memory layer (peak bandwidth, worst-case per-burst timing), the
 /// PE-array compute rate, and the Table-5 synthesis constants — without
-/// running the analytic DRAM estimator or the cycle engine.
+/// running the analytic DRAM estimator or the fast engine.
 ///
 /// The intervals are proved (by the bounds tests and re-checked at
 /// every [`sweep_pruned`] point) to contain the analytic model's price
@@ -336,17 +365,17 @@ pub struct PrunedSweep {
     /// are absent: each is provably dominated by a point in this set,
     /// so it cannot sit on the Pareto frontier.
     pub points: Vec<DesignPoint>,
-    /// Grid points fully evaluated, cycle-engine replay included.
+    /// Grid points fully evaluated, engine cross-check included.
     pub simulated: usize,
-    /// Grid points whose cycle-engine replay was skipped.
+    /// Grid points whose full evaluation was skipped.
     pub pruned: usize,
 }
 
-/// Like [`sweep_with`], but prunes the expensive cycle-engine replay
-/// for provably-dominated grid points.
+/// Like [`sweep_with`], but prunes the full evaluation of
+/// provably-dominated grid points.
 ///
 /// Every point is first priced statically: the closed-form
-/// [`point_bounds`] interval plus the analytic model (no cycle engine).
+/// [`point_bounds`] interval plus the analytic model (no engine).
 /// A point whose certified price is dominated — under the exact
 /// [`pareto_frontier`] tolerance — by an already-retained point is
 /// skipped; a point whose analytic price escapes its certified interval
@@ -404,17 +433,18 @@ pub fn sweep_pruned(
     }
     retained.sort_unstable();
 
-    // Full evaluation (cycle-engine replay included) for the survivors.
+    // Full evaluation (engine cross-check included) for the survivors.
+    let engine_gbps = engine_checks(base_mem, retained.iter().map(|&idx| cells[idx].3), opts);
     let points = mealib_types::par_map(&retained, opts.jobs, |&idx| {
-        let (hw, mem) = configure(base_mem, cells[idx]);
+        let (f, cores, block, row) = cells[idx];
         DesignPoint {
-            frequency: hw.frequency,
-            cores: cells[idx].1,
-            block_elems: cells[idx].2,
-            row_bytes: cells[idx].3,
+            frequency: Hertz::from_ghz(f),
+            cores,
+            block_elems: block,
+            row_bytes: row,
             gflops: priced[idx].0,
             power_w: priced[idx].1,
-            engine_gbps: engine_check(&mem, opts.engine_check_bytes),
+            engine_gbps: engine_gbps(row),
         }
     });
     PrunedSweep {
@@ -731,6 +761,38 @@ mod tests {
         // Disabled by default: sweep() leaves the field zero.
         let plain = sweep(AcceleratorKind::Fft, &fft_reference_workload(), &grid, &mem);
         assert!(plain.iter().all(|p| p.engine_gbps == 0.0));
+    }
+
+    #[test]
+    fn each_point_gets_its_own_configurations_engine_check() {
+        // One unit with one bank: every row change is a conflict, so
+        // the cross-check differs between the row sizes and a point
+        // given another configuration's replay shows.
+        let mut mem = MemoryConfig::hmc_stack();
+        mem.mapping = mealib_memsim::AddressMapping::Interleaved {
+            units: 1,
+            banks_per_unit: 1,
+            row_bytes: 4096,
+            line_bytes: 256,
+        };
+        let grid = SweepGrid {
+            frequencies_ghz: vec![0.8, 2.0],
+            cores: vec![16],
+            block_elems: vec![4096],
+            row_bytes: vec![2048, 4096],
+        };
+        let opts = SweepOptions {
+            jobs: 2,
+            engine_check_bytes: 1 << 16,
+        };
+        let workload = fft_reference_workload();
+        let full = sweep_with(AcceleratorKind::Fft, &workload, &grid, &mem, &opts);
+        let pruned = sweep_pruned(AcceleratorKind::Fft, &workload, &grid, &mem, &opts);
+        assert_ne!(full[0].engine_gbps, full[1].engine_gbps);
+        for p in full.iter().chain(&pruned.points) {
+            let own = engine_check(&memory_at(&mem, p.row_bytes), 1 << 16);
+            assert_eq!(p.engine_gbps.to_bits(), own.to_bits(), "{p:?}");
+        }
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //!   cycle/fast wall ratios, which the perf gate floors (the fast
 //!   engine must stay >= 5x the oracle on these streams). The geomean
 //!   weighs every stream equally: a wall-time sum would let spmv's
-//!   random scalar gathers — which no analytic batching can skip, and
-//!   which therefore replay at ~1x by construction — mask the win on
-//!   every other stream.
+//!   random scalar gathers mask the win on every other stream. No
+//!   analytic batching can skip a gather: each is a row miss, one
+//!   slow-path state step in both engines. The fast engine wins there
+//!   only by cheaper decode and dispatch (a compiled address geometry
+//!   and a one-burst request path), so spmv's ratio stays far below the
+//!   streaming ones.
 //!
 //! Streams smaller than the footprint target are tiled (repeated at
 //! disjoint address offsets) so short fig13 phases measure replay

@@ -2,16 +2,17 @@
 //! performance vs power across frequency, core count, block size, and
 //! DRAM row-buffer size, at 510 GB/s of memory bandwidth.
 //!
-//! Every design point additionally replays a sequential stream through
-//! the cycle engine (the `engine` column) to cross-check the analytic
-//! bandwidth model; `--jobs N` fans the points across worker threads
-//! with bit-identical output.
+//! Every design point's memory configuration additionally replays a
+//! sequential stream through the fast engine (the `engine` column) to
+//! cross-check the analytic bandwidth model, once per distinct
+//! configuration; `--jobs N` fans the points across worker threads with
+//! bit-identical output.
 //!
 //! With `--prune`, the static-bounds certifier prices every grid point
-//! in closed form first and the cycle-engine replay runs only for
-//! points no certified point dominates. The Pareto frontier (printed
+//! in closed form first and the full evaluation runs only for points no
+//! certified point dominates. The Pareto frontier (printed
 //! and summarized in both modes) is bit-identical either way — the
-//! smoke script asserts it — while the number of engine simulations
+//! smoke script asserts it — while the number of fully evaluated points
 //! drops, which the prune-mode summary records.
 
 use mealib_accel::design_space::{
@@ -119,8 +120,8 @@ fn main() {
     let mem = MemoryConfig::hmc_stack();
     let sweep_opts = SweepOptions {
         jobs: opts.jobs,
-        // The engine replay is what makes each point worth
-        // parallelizing; keep it light in smoke-test mode.
+        // The engine replay is the costly part of a sweep; keep it
+        // light in smoke-test mode.
         engine_check_bytes: if opts.small { 1 << 20 } else { 64 << 20 },
     };
 

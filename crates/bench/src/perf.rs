@@ -14,7 +14,7 @@
 //! *any* drift beyond the threshold (modeled outputs are deterministic,
 //! so unexplained movement is a model change that needs a look).
 
-use mealib_obs::bench_schema::{BenchRecord, BenchSummary};
+use mealib_obs::bench_schema::{BenchRecord, BenchSummary, WALL_RATIOS};
 use mealib_obs::json::{array, Object};
 
 /// Which direction of movement improves a metric.
@@ -43,7 +43,7 @@ pub fn metric_direction(key: &str) -> Direction {
         "per_sec",
     ];
     const SMALLER: [&str; 6] = ["time", "edp", "energy", "wall", "overhead", "latency"];
-    if BIGGER.iter().any(|m| k.contains(m)) {
+    if WALL_RATIOS.contains(&key) || BIGGER.iter().any(|m| k.contains(m)) {
         Direction::BiggerBetter
     } else if SMALLER.iter().any(|m| k.contains(m)) {
         Direction::SmallerBetter
@@ -347,6 +347,33 @@ mod tests {
             Direction::SmallerBetter
         );
         assert_eq!(metric_direction("workloads"), Direction::Unknown);
+        assert_eq!(metric_direction("fast_over_cycle"), Direction::BiggerBetter);
+    }
+
+    #[test]
+    fn fast_over_cycle_gates_as_a_wall_ratio_with_its_floor_kept() {
+        let before = summary(&[("engine_throughput", &[("fast_over_cycle", 10.68)])]);
+        let gate = GateOptions {
+            wall_report_only: true,
+            ..GateOptions::default()
+        };
+        // A rise is an improvement, not drift.
+        let up = summary(&[("engine_throughput", &[("fast_over_cycle", 14.0)])]);
+        let report = compare(&before, &up, &gate);
+        assert!(report.deltas.iter().all(|d| d.wall && !d.regressed));
+        assert!(!report.failed(&gate));
+        // A drop beyond the wall threshold is a regression, reported
+        // but not failing under --wall-report-only...
+        let down = summary(&[("engine_throughput", &[("fast_over_cycle", 6.0)])]);
+        let report = compare(&before, &down, &gate);
+        assert_eq!(report.regressions().count(), 1);
+        assert!(!report.failed(&gate));
+        assert!(report.failed(&GateOptions::default()));
+        // ...while the absolute floor still fails hard.
+        let floor = MinRule::parse("engine_throughput.fast_over_cycle=5").unwrap();
+        assert!(check_minimums(&down, std::slice::from_ref(&floor)).is_empty());
+        let below = summary(&[("engine_throughput", &[("fast_over_cycle", 4.5)])]);
+        assert_eq!(check_minimums(&below, &[floor]).len(), 1);
     }
 
     #[test]

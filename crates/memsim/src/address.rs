@@ -163,10 +163,11 @@ impl AddressMapping {
     ///
     /// This is the distance to the next interleave boundary (or row
     /// boundary, when a single unit serves the region, or the
-    /// asymmetric split). The fast engine uses it to decode whole
-    /// same-row runs with a single [`decode`](Self::decode) call; the
-    /// guarantee above is what keeps that batched decode bit-exact
-    /// with the per-burst decode, and is property-checked in tests.
+    /// asymmetric split). The run decoder behind the fast engine and
+    /// the bounds walk uses its compiled twin (`AddressGeometry`) to
+    /// decode whole same-row runs with a single decode; the guarantee
+    /// above is what keeps that batched decode bit-exact with the
+    /// per-burst decode, and is property-checked in tests.
     pub fn contiguous_run_bytes(&self, addr: PhysAddr) -> u64 {
         match *self {
             AddressMapping::Interleaved {
@@ -233,7 +234,29 @@ impl AddressMapping {
     /// Returns a [`mealib_types::ConfigError`] naming the offending field.
     pub fn validate(&self) -> Result<(), mealib_types::ConfigError> {
         use mealib_types::ConfigError;
-        let (units, banks, row, line) = match *self {
+        let (units, banks, row, line) = self.interleave();
+        if units == 0 {
+            return Err(ConfigError::new("units", "must be nonzero"));
+        }
+        if banks == 0 {
+            return Err(ConfigError::new("banks_per_unit", "must be nonzero"));
+        }
+        if !row.is_power_of_two() {
+            return Err(ConfigError::new("row_bytes", "must be a power of two"));
+        }
+        if !line.is_power_of_two() || line > row {
+            return Err(ConfigError::new(
+                "line_bytes",
+                "must be a power of two no larger than row_bytes",
+            ));
+        }
+        Ok(())
+    }
+
+    /// `(units, banks_per_unit, row_bytes, line_bytes)` of the
+    /// interleaved layer (the low region's, on the asymmetric mapping).
+    fn interleave(&self) -> (usize, usize, u64, u64) {
+        match *self {
             AddressMapping::Interleaved {
                 units,
                 banks_per_unit,
@@ -253,26 +276,12 @@ impl AddressMapping {
                 line_bytes,
                 ..
             } => (low_units, banks_per_unit, row_bytes, line_bytes),
-        };
-        if units == 0 {
-            return Err(ConfigError::new("units", "must be nonzero"));
         }
-        if banks == 0 {
-            return Err(ConfigError::new("banks_per_unit", "must be nonzero"));
-        }
-        if !row.is_power_of_two() {
-            return Err(ConfigError::new("row_bytes", "must be a power of two"));
-        }
-        if !line.is_power_of_two() || line > row {
-            return Err(ConfigError::new(
-                "line_bytes",
-                "must be a power of two no larger than row_bytes",
-            ));
-        }
-        Ok(())
     }
 }
 
+/// The reference decode of one interleaved layer: plain `u64` division
+/// and modulo, the definition [`AddressGeometry`] is checked against.
 fn decode_interleaved(
     addr: u64,
     units: usize,
@@ -290,6 +299,183 @@ fn decode_interleaved(
         bank,
         row: global_row / banks_per_unit as u64,
         col_byte: within_unit % row_bytes,
+    }
+}
+
+/// A divisor compiled once: a shift and a mask when it is a power of
+/// two, a hardware division otherwise. The branch is fixed per divisor,
+/// so it predicts perfectly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    d: u64,
+    shift: u32,
+    pow2: bool,
+}
+
+impl Divisor {
+    /// Division by one: the identity.
+    const ONE: Divisor = Divisor::new(1);
+
+    /// Compiles the nonzero divisor `d`.
+    pub(crate) const fn new(d: u64) -> Self {
+        assert!(d > 0, "divisor must be nonzero");
+        Self {
+            d,
+            shift: d.trailing_zeros(),
+            pow2: d.is_power_of_two(),
+        }
+    }
+
+    /// The divisor itself.
+    #[inline]
+    pub(crate) fn get(self) -> u64 {
+        self.d
+    }
+
+    /// `x / d`.
+    #[inline]
+    pub(crate) fn div(self, x: u64) -> u64 {
+        if self.pow2 {
+            x >> self.shift
+        } else {
+            x / self.d
+        }
+    }
+
+    /// `x % d`.
+    #[inline]
+    pub(crate) fn rem(self, x: u64) -> u64 {
+        if self.pow2 {
+            x & (self.d - 1)
+        } else {
+            x % self.d
+        }
+    }
+
+    /// `x.div_ceil(d)`, without the `x + d - 1` overflow.
+    #[inline]
+    pub(crate) fn div_ceil(self, x: u64) -> u64 {
+        self.div(x) + u64::from(self.rem(x) != 0)
+    }
+}
+
+/// Which fold a compiled mapping applies on top of the interleaved
+/// decode.
+#[derive(Debug, Clone, Copy)]
+enum Scheme {
+    Interleaved,
+    Xor,
+    /// `split` and the dedicated unit's index (`low_units`).
+    Asymmetric {
+        split: u64,
+        high_unit: usize,
+    },
+}
+
+/// An [`AddressMapping`] compiled for repeated decoding: `row_bytes` and
+/// `line_bytes` (validated powers of two) become shifts and masks, and
+/// the unit and bank counts become [`Divisor`]s. [`decode`](Self::decode)
+/// and [`contiguous_run_bytes`](Self::contiguous_run_bytes) equal the
+/// mapping's own methods on every address (property-checked below);
+/// [`AddressMapping::decode`] stays the reference definition.
+#[derive(Debug, Clone)]
+pub(crate) struct AddressGeometry {
+    scheme: Scheme,
+    /// Interleaved units (the low region's, on the asymmetric layer).
+    pub(crate) units: Divisor,
+    banks: Divisor,
+    /// `log2(line_bytes)`.
+    pub(crate) line_shift: u32,
+    /// `log2(row_bytes)`.
+    pub(crate) row_shift: u32,
+    /// Shift of the span one contiguous run may cover on the
+    /// interleaved region: the row on a single unit, else the line.
+    span_shift: u32,
+}
+
+impl AddressGeometry {
+    /// Compiles `mapping`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mapping [`AddressMapping::validate`] rejects.
+    pub(crate) fn new(mapping: &AddressMapping) -> Self {
+        mapping.validate().expect("compiling a validated mapping");
+        let (units, banks, row_bytes, line_bytes) = mapping.interleave();
+        let scheme = match *mapping {
+            AddressMapping::Interleaved { .. } => Scheme::Interleaved,
+            AddressMapping::XorInterleaved { .. } => Scheme::Xor,
+            AddressMapping::Asymmetric { split, .. } => Scheme::Asymmetric {
+                split: split.get(),
+                high_unit: units,
+            },
+        };
+        let (line_shift, row_shift) = (line_bytes.trailing_zeros(), row_bytes.trailing_zeros());
+        Self {
+            scheme,
+            units: Divisor::new(units as u64),
+            banks: Divisor::new(banks as u64),
+            line_shift,
+            row_shift,
+            span_shift: if units == 1 { row_shift } else { line_shift },
+        }
+    }
+
+    /// Whether the XOR unit and bank folds apply.
+    #[inline]
+    pub(crate) fn is_xor(&self) -> bool {
+        matches!(self.scheme, Scheme::Xor)
+    }
+
+    /// [`AddressMapping::decode`], compiled.
+    #[inline]
+    pub(crate) fn decode(&self, addr: u64) -> Location {
+        match self.scheme {
+            Scheme::Interleaved => self.interleaved(addr, self.units),
+            Scheme::Xor => {
+                let mut loc = self.interleaved(addr, self.units);
+                // The folds of `AddressMapping::decode`: the unit keys on
+                // the line index above the unit selector, the bank on
+                // the row.
+                let hash = self.units.div(addr >> self.line_shift);
+                loc.unit = self.units.rem(loc.unit as u64 ^ hash) as usize;
+                loc.bank = self.banks.rem(loc.bank as u64 ^ loc.row) as usize;
+                loc
+            }
+            Scheme::Asymmetric { split, .. } if addr < split => self.interleaved(addr, self.units),
+            Scheme::Asymmetric { split, high_unit } => {
+                let mut loc = self.interleaved(addr - split, Divisor::ONE);
+                loc.unit = high_unit;
+                loc
+            }
+        }
+    }
+
+    /// [`AddressMapping::contiguous_run_bytes`], compiled.
+    #[inline]
+    pub(crate) fn contiguous_run_bytes(&self, addr: u64) -> u64 {
+        let span = |a: u64, shift: u32| (1u64 << shift) - (a & ((1u64 << shift) - 1));
+        match self.scheme {
+            Scheme::Asymmetric { split, .. } if addr >= split => span(addr - split, self.row_shift),
+            Scheme::Asymmetric { split, .. } => span(addr, self.span_shift).min(split - addr),
+            Scheme::Interleaved | Scheme::Xor => span(addr, self.span_shift),
+        }
+    }
+
+    /// [`decode_interleaved`] over `units`, with shifts for the line and
+    /// row sizes.
+    #[inline]
+    fn interleaved(&self, addr: u64, units: Divisor) -> Location {
+        let line = addr >> self.line_shift;
+        let line_mask = (1u64 << self.line_shift) - 1;
+        let within_unit = (units.div(line) << self.line_shift) | (addr & line_mask);
+        let global_row = within_unit >> self.row_shift;
+        Location {
+            unit: units.rem(line) as usize,
+            bank: self.banks.rem(global_row) as usize,
+            row: self.banks.div(global_row),
+            col_byte: within_unit & ((1u64 << self.row_shift) - 1),
+        }
     }
 }
 
@@ -514,6 +700,108 @@ mod tests {
                     assert_eq!(loc.row, base.row, "{m:?} at {addr:?} + {d}");
                     assert_eq!(loc.col_byte, base.col_byte + d, "{m:?} at {addr:?} + {d}");
                 }
+            }
+        }
+    }
+
+    /// A random valid mapping of each kind, with power-of-two and
+    /// other unit and bank counts and an off-grid asymmetric split.
+    fn mapping_strategy() -> impl proptest::strategy::Strategy<Value = AddressMapping> {
+        use proptest::prelude::*;
+        (
+            0u8..3,
+            1usize..=40,
+            1usize..=17,
+            6u32..=14,
+            0u32..=8,
+            0u64..(1 << 48),
+        )
+            .prop_map(|(kind, units, banks, row_shift, line_down, split)| {
+                let row_bytes = 1u64 << row_shift;
+                let line_bytes = row_bytes >> line_down.min(row_shift);
+                match kind {
+                    0 => AddressMapping::Interleaved {
+                        units,
+                        banks_per_unit: banks,
+                        row_bytes,
+                        line_bytes,
+                    },
+                    1 => AddressMapping::XorInterleaved {
+                        units,
+                        banks_per_unit: banks,
+                        row_bytes,
+                        line_bytes,
+                    },
+                    _ => AddressMapping::Asymmetric {
+                        low_units: units % 5 + 1,
+                        banks_per_unit: banks,
+                        row_bytes,
+                        line_bytes,
+                        split: PhysAddr::new(split),
+                    },
+                }
+            })
+    }
+
+    /// The compiled decode equals the reference on `addr` and on the
+    /// addresses around it.
+    fn assert_compiled_matches(m: &AddressMapping, addr: u64) {
+        let g = AddressGeometry::new(m);
+        for a in [addr, addr.saturating_sub(1), addr.saturating_add(1)] {
+            let pa = PhysAddr::new(a);
+            assert_eq!(g.decode(a), m.decode(pa), "{m:?} at {a:#x}");
+            assert_eq!(
+                g.contiguous_run_bytes(a),
+                m.contiguous_run_bytes(pa),
+                "{m:?} at {a:#x}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn compiled_geometry_equals_the_reference_decode(
+            m in mapping_strategy(),
+            addrs in proptest::collection::vec(0u64..(1 << 48), 1..32),
+        ) {
+            assert!(m.validate().is_ok(), "{m:?}");
+            for &addr in &addrs {
+                assert_compiled_matches(&m, addr);
+            }
+            // Straddle the asymmetric split too.
+            if let AddressMapping::Asymmetric { split, .. } = m {
+                assert_compiled_matches(&m, split.get());
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_geometry_equals_the_reference_on_every_preset() {
+        use crate::config::MemoryConfig;
+        let mut maps = vec![
+            dual_channel_dimms(),
+            asymmetric_dimms(PhysAddr::new((8 << 30) + 96)),
+            hmc_vaults(),
+        ];
+        for c in [
+            MemoryConfig::hmc_stack(),
+            MemoryConfig::hmc_stack_gen1(),
+            MemoryConfig::ddr_dual_channel(),
+            MemoryConfig::msas_dram(),
+        ] {
+            maps.push(c.mapping);
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for m in &maps {
+            for i in 0..4096u64 {
+                // Dense low addresses, then a 64-bit LCG folded to 2^48.
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                assert_compiled_matches(m, i * 29);
+                assert_compiled_matches(m, x >> 16);
             }
         }
     }

@@ -136,7 +136,7 @@ impl TraceBounds {
 #[derive(Debug, Clone)]
 pub struct BoundsWalk<'a> {
     config: &'a MemoryConfig,
-    decoder: RunDecoder<'a>,
+    decoder: RunDecoder,
     banks: usize,
     /// Open row per `(unit, bank)` in the refresh-free automaton.
     rows: Vec<Option<u64>>,

@@ -897,9 +897,12 @@ impl UnitEngine {
     /// conflicts, refreshes, and activations.
     pub(crate) fn burst_core(&mut self, t: &DramTiming, b: &Burst) {
         // Periodic all-bank refresh (REFab): once per tREFI the whole
-        // unit spends tRFC refreshing, closing every row buffer.
-        let due = self.bus_free / t.t_refi;
-        if due > self.refreshes_done {
+        // unit spends tRFC refreshing, closing every row buffer. The
+        // test is `bus_free / t_refi > refreshes_done` without the
+        // division, which only a refresh actually owed pays for.
+        let next_refresh = (self.refreshes_done + 1).checked_mul(t.t_refi);
+        if next_refresh.is_some_and(|next| self.bus_free >= next) {
+            let due = self.bus_free / t.t_refi;
             let owed = due - self.refreshes_done;
             self.refreshes_done = due;
             self.vault.refreshes += owed;

@@ -61,6 +61,15 @@
 //! replays them with the same per-run step. Burst counts are `u64`
 //! throughout, and nothing is reserved in proportion to bytes.
 //!
+//! A random scalar gather is one row miss, so its state step is one
+//! slow-path burst and nothing batches; what it costs beyond that is
+//! decode and dispatch. A request that ends inside its first burst
+//! therefore skips the run iterator: [`RunDecoder::one_burst`] decodes
+//! it once, through the decoder's compiled geometry (shifts and masks,
+//! no `u64` division on the presets), and the run joins its unit's
+//! pending slot like any other. The refresh check in
+//! [`UnitEngine::burst_core`] divides only when a refresh is owed.
+//!
 //! Profiled runs charge every burst to a cycle window individually,
 //! which is exactly the per-burst accounting the batch elides, so they
 //! run the cycle engine.
@@ -182,6 +191,11 @@ pub(crate) fn run_fast(
 /// order. Each unit holds one pending run that absorbs contiguous
 /// successors ([`UnitRun::absorb`]); a run is handed on once its
 /// successor on the unit does not fit, and every pending run at the end.
+///
+/// A request inside one burst (a scalar gather, say) is its own single
+/// run: [`RunDecoder::one_burst`] decodes it once without building a
+/// [`crate::runs::Runs`] iterator, and it joins the pending slot like
+/// any other run, so aligned burst-sized requests still batch.
 fn for_each_unit_run(
     config: &MemoryConfig,
     trace: &TraceBuffer,
@@ -193,19 +207,25 @@ fn for_each_unit_run(
     // A pending run of zero bursts is an empty slot: real runs have at
     // least one.
     let mut pending: Vec<UnitRun> = vec![UnitRun::default(); config.mapping.units()];
+    let mut hand_on = |next: UnitRun| {
+        let unit = next.run.loc.unit;
+        let last = &mut pending[unit];
+        if last.run.bursts == 0 || !last.absorb(&next, bb) {
+            if last.run.bursts > 0 {
+                sink(unit, last);
+            }
+            *last = next;
+        }
+    };
     let (addrs, bytes, ops) = (trace.addrs(), trace.bytes(), trace.ops());
     for i in 0..trace.len() {
         let write = ops[i] == Op::Write;
         let tenant = tags.map_or(0, |col| col[i]);
-        for run in decoder.runs(addrs[i], bytes[i]) {
-            let next = UnitRun { run, write, tenant };
-            let unit = run.loc.unit;
-            let last = &mut pending[unit];
-            if last.run.bursts == 0 || !last.absorb(&next, bb) {
-                if last.run.bursts > 0 {
-                    sink(unit, last);
-                }
-                *last = next;
+        if let Some(run) = decoder.one_burst(addrs[i], bytes[i]) {
+            hand_on(UnitRun { run, write, tenant });
+        } else {
+            for run in decoder.runs(addrs[i], bytes[i]) {
+                hand_on(UnitRun { run, write, tenant });
             }
         }
     }
@@ -373,6 +393,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The presets the one-burst path must agree on: HMC (32-byte
+    /// bursts in 256-byte lines), DDR (burst = line = 64 bytes), the
+    /// stack's XOR twin and the asymmetric DIMM layer split off-grid.
+    fn one_burst_configs() -> Vec<MemoryConfig> {
+        let mut xor = MemoryConfig::hmc_stack();
+        xor.mapping = AddressMapping::XorInterleaved {
+            units: 32,
+            banks_per_unit: 8,
+            row_bytes: 4096,
+            line_bytes: 256,
+        };
+        let mut asym = MemoryConfig::ddr_dual_channel();
+        asym.mapping =
+            crate::address::asymmetric_dimms(mealib_types::PhysAddr::new((1 << 20) + 4096 + 12));
+        vec![
+            MemoryConfig::hmc_stack(),
+            MemoryConfig::ddr_dual_channel(),
+            xor,
+            asym,
+        ]
+    }
+
+    /// Both engines agree, and the run decode reproduces the per-burst
+    /// decode unit by unit, in order.
+    fn assert_one_burst_trace_agrees(config: &MemoryConfig, trace: &TraceBuffer, what: &str) {
+        let mut expected: Vec<Vec<Burst>> = vec![Vec::new(); config.mapping.units()];
+        for_each_burst_tagged(&config.timing, &config.mapping, trace, None, |b| {
+            expected[b.loc.unit].push(b)
+        });
+        let got = decoded_bursts(config, trace);
+        for (unit, (got, want)) in got.iter().zip(&expected).enumerate() {
+            let got: Vec<_> = got.iter().map(|b| (b.loc, b.bytes, b.op)).collect();
+            let want: Vec<_> = want.iter().map(|b| (b.loc, b.bytes, b.op)).collect();
+            assert_eq!(got, want, "{}: {what}, unit {unit}", config.name);
+        }
+        assert_engines_agree(config, trace, &format!("{}: {what}", config.name));
+    }
+
+    #[test]
+    fn scalar_gathers_take_the_one_burst_path_bit_exactly() {
+        for config in one_burst_configs() {
+            // Random 4-byte gathers over 2 MiB around the asymmetric
+            // split, reads and writes, some landing in open rows.
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            let mut trace = TraceBuffer::new();
+            for i in 0..4096u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let addr = (x % (2 << 20)) & !3;
+                if i % 5 == 0 {
+                    trace.push(Request::write(addr, 4));
+                } else {
+                    trace.push(Request::read(addr, 4));
+                }
+            }
+            assert_one_burst_trace_agrees(&config, &trace, "4-byte gathers");
+        }
+    }
+
+    #[test]
+    fn one_burst_edge_cases_agree_with_the_cycle_engine() {
+        for config in one_burst_configs() {
+            let bb = config.timing.burst_bytes;
+            let decoder = RunDecoder::new(&config.timing, &config.mapping);
+            let base = 1u64 << 16;
+            // A 4-byte read across a burst boundary is two bursts: it
+            // must take the iterator path.
+            let straddle = base + bb - 2;
+            assert!(decoder.one_burst(straddle, 4).is_none());
+            assert_eq!(decoder.runs(straddle, 4).map(|r| r.bursts).sum::<u64>(), 2);
+            // An exact aligned burst and reads inside one burst are the
+            // iterator's only run; zero bytes are no run at all.
+            for (addr, n) in [(base, bb), (base + bb - 4, 4), (base + 3, 1)] {
+                let one = decoder.one_burst(addr, n);
+                assert_eq!(one.map(|r| r.bursts), Some(1));
+                assert_eq!(one, decoder.runs(addr, n).next());
+            }
+            assert!(decoder.one_burst(base + 4, 0).is_none());
+            let trace = TraceBuffer::from(&[
+                Request::read(straddle, 4),
+                Request::read(base, bb),
+                Request::write(base + 2 * bb, bb),
+                Request::read(base + 4, 0),
+                Request::read(base + bb - 4, 4),
+                Request::read(base + bb, bb),
+                Request::write(base + 64 * bb + 1, 0),
+                Request::read(straddle, 4),
+            ]);
+            assert_one_burst_trace_agrees(&config, &trace, "edge cases");
+        }
+    }
+
+    #[test]
+    fn one_burst_run_absorbs_its_aligned_successor() {
+        // On the stack a 256-byte line holds eight 32-byte bursts, so a
+        // 4-byte read at col 28 and an aligned burst at col 32 are one
+        // two-burst run on one unit.
+        let c = MemoryConfig::hmc_stack();
+        let trace = TraceBuffer::from(&[Request::read(28, 4), Request::read(32, 32)]);
+        let mut runs = Vec::new();
+        for_each_unit_run(&c, &trace, None, |unit, run| runs.push((unit, run.run)));
+        assert_eq!(runs.len(), 1, "{runs:?}");
+        assert_eq!(
+            (runs[0].1.bursts, runs[0].1.head, runs[0].1.total),
+            (2, 4, 36)
+        );
+        assert_engines_agree(&c, &trace, "absorbed one-burst run");
     }
 
     #[test]

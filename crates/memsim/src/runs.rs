@@ -6,14 +6,27 @@
 //! decodes each chunk's start address. A **run** is a maximal group of
 //! consecutive bursts of one request whose start addresses fall inside
 //! one contiguous `(unit, bank, row)` span, as advertised by
-//! [`AddressMapping::contiguous_run_bytes`]. [`RunDecoder`] calls
-//! [`AddressMapping::decode`] once per run, or once per *row stripe* on
-//! the bulk path, and derives the burst boundaries inside a run by
-//! arithmetic. Concatenating the runs in emission order reproduces the
-//! per-burst decode exactly: same bursts, same locations, same order
-//! within each unit. Only the order *across* units inside one request
-//! may differ, which no consumer observes: engine state is per unit,
-//! and the bounds composer snapshots at request granularity.
+//! [`AddressMapping::contiguous_run_bytes`]. [`RunDecoder`] decodes
+//! once per run, or once per *row stripe* on the bulk path, and derives
+//! the burst boundaries inside a run by arithmetic. Concatenating the
+//! runs in emission order reproduces the per-burst decode exactly: same
+//! bursts, same locations, same order within each unit. Only the order
+//! *across* units inside one request may differ, which no consumer
+//! observes: engine state is per unit, and the bounds composer
+//! snapshots at request granularity.
+//!
+//! # Compiled geometry
+//!
+//! The decoder compiles its mapping once into an `AddressGeometry`:
+//! the power-of-two row and line sizes become shifts and masks, and the
+//! unit count, bank count and burst size become `Divisor`s (shifts when
+//! they are powers of two, divisions otherwise). Its `decode` and
+//! `contiguous_run_bytes` equal the mapping's, which stay the reference
+//! definitions; the cycle oracle decodes through those, so `DualCheck`
+//! checks the compiled decode independently. A request inside a single
+//! burst, like a scalar gather, is one run from one decode:
+//! [`RunDecoder::one_burst`] returns it without building a [`Runs`]
+//! iterator.
 //!
 //! # Row stripes
 //!
@@ -29,9 +42,7 @@
 //! run per unit: certification and replay cost scale with row stripes,
 //! not lines.
 
-use mealib_types::PhysAddr;
-
-use crate::address::{AddressMapping, Location};
+use crate::address::{AddressGeometry, AddressMapping, Divisor, Location};
 use crate::timing::DramTiming;
 
 /// Consecutive bursts of one request that share one `(unit, bank,
@@ -50,19 +61,24 @@ pub struct Run {
 
 /// Splits requests into [`Run`]s under one timing and mapping.
 #[derive(Debug, Clone)]
-pub struct RunDecoder<'a> {
-    mapping: &'a AddressMapping,
-    burst_bytes: u64,
-    /// `(units, line_bytes, row_bytes, xor)` when the bulk super-line
-    /// path applies.
-    bulk: Option<(u64, u64, u64, bool)>,
+pub struct RunDecoder {
+    geometry: AddressGeometry,
+    burst: Divisor,
+    /// The super-line (`units × line_bytes`) when the bulk path applies.
+    bulk: Option<Divisor>,
 }
 
-impl<'a> RunDecoder<'a> {
-    /// A decoder for `mapping` with `timing`'s burst size. Expects a
-    /// validated configuration.
-    pub fn new(timing: &DramTiming, mapping: &'a AddressMapping) -> Self {
-        let burst_bytes = timing.burst_bytes;
+impl RunDecoder {
+    /// A decoder for `mapping` with `timing`'s burst size.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration that does not validate.
+    pub fn new(timing: &DramTiming, mapping: &AddressMapping) -> Self {
+        let geometry = AddressGeometry::new(mapping);
+        let burst = Divisor::new(timing.burst_bytes);
+        let line_bytes = 1u64 << geometry.line_shift;
+        let units = geometry.units.get();
         // Bulk-path eligibility: within one super-line (`units *
         // line_bytes`, line-aligned), every line has the same
         // `within_unit` offset — hence the same bank, row, and column —
@@ -72,27 +88,20 @@ impl<'a> RunDecoder<'a> {
         // therefore covers a whole aligned stretch of lines; only the
         // unit index varies, by the same fold `decode` applies.
         let bulk = match *mapping {
-            AddressMapping::Interleaved {
-                units,
-                line_bytes,
-                row_bytes,
-                ..
-            } if units > 1 && line_bytes % burst_bytes == 0 => {
-                Some((units as u64, line_bytes, row_bytes, false))
-            }
-            AddressMapping::XorInterleaved {
-                units,
-                line_bytes,
-                row_bytes,
-                ..
-            } if units > 1 && units.is_power_of_two() && line_bytes % burst_bytes == 0 => {
-                Some((units as u64, line_bytes, row_bytes, true))
+            AddressMapping::Interleaved { .. } | AddressMapping::XorInterleaved { .. }
+                if units > 1
+                    && burst.rem(line_bytes) == 0
+                    && (!geometry.is_xor() || units.is_power_of_two()) =>
+            {
+                // A super-line past `u64` leaves the scalar path, which
+                // needs no super-line.
+                units.checked_mul(line_bytes).map(Divisor::new)
             }
             _ => None,
         };
         Self {
-            mapping,
-            burst_bytes,
+            geometry,
+            burst,
             bulk,
         }
     }
@@ -111,12 +120,25 @@ impl<'a> RunDecoder<'a> {
             line_loc: Location::default(),
         }
     }
+
+    /// The one run of a nonempty request inside a single burst, from one
+    /// decode and no iterator; `None` for any other request. Equal to
+    /// the only item of [`runs`](Self::runs) whenever it is `Some`.
+    #[inline]
+    pub fn one_burst(&self, addr: u64, bytes: u64) -> Option<Run> {
+        (bytes > 0 && bytes <= self.burst.get() - self.burst.rem(addr)).then(|| Run {
+            loc: self.geometry.decode(addr),
+            head: bytes,
+            total: bytes,
+            bursts: 1,
+        })
+    }
 }
 
 /// Iterator over the [`Run`]s of one request; see [`RunDecoder::runs`].
 #[derive(Debug, Clone)]
 pub struct Runs<'d> {
-    decoder: &'d RunDecoder<'d>,
+    decoder: &'d RunDecoder,
     /// First byte not yet emitted (past any pending bulk lines).
     addr: u64,
     /// Bytes from `addr` to the end of the request.
@@ -139,14 +161,16 @@ impl Iterator for Runs<'_> {
     #[inline]
     fn next(&mut self) -> Option<Run> {
         let d = self.decoder;
-        let bb = d.burst_bytes;
+        let g = &d.geometry;
+        let (units, ls) = (g.units, g.line_shift);
+        let line_bytes = 1u64 << ls;
         if self.runs_left == 0 {
             if self.remaining == 0 {
                 return None;
             }
             match d.bulk {
-                Some((units, line_bytes, row_bytes, _))
-                    if self.addr.is_multiple_of(line_bytes) && self.remaining >= line_bytes =>
+                Some(super_line)
+                    if self.addr & (line_bytes - 1) == 0 && self.remaining >= line_bytes =>
                 {
                     // One decode for the aligned stretch; only the unit
                     // index varies across it, by the fold `decode`
@@ -157,48 +181,48 @@ impl Iterator for Runs<'_> {
                     // lines in the later super-lines follow at the next
                     // columns of the same bank and row); otherwise it is
                     // the lines up to the super-line's end.
-                    let line = self.addr / line_bytes;
-                    let j0 = line % units;
-                    self.line_loc = d.mapping.decode(PhysAddr::new(self.addr));
+                    let line = self.addr >> ls;
+                    let j0 = units.rem(line);
+                    self.line_loc = g.decode(self.addr);
                     let k = if j0 == 0 {
-                        (self.remaining / (units * line_bytes))
-                            .min((row_bytes - self.line_loc.col_byte) / line_bytes)
+                        super_line
+                            .div(self.remaining)
+                            .min(((1u64 << g.row_shift) - self.line_loc.col_byte) >> ls)
                     } else {
                         0
                     };
                     let (runs, lines) = if k > 0 {
-                        (units, k)
+                        (units.get(), k)
                     } else {
-                        ((self.remaining / line_bytes).min(units - j0), 1)
+                        ((self.remaining >> ls).min(units.get() - j0), 1)
                     };
                     self.runs_left = runs;
                     self.run_lines = lines;
                     self.next_line = j0;
-                    self.hash = line / units;
-                    self.addr += runs * lines * line_bytes;
-                    self.remaining -= runs * lines * line_bytes;
+                    self.hash = units.div(line);
+                    self.addr += (runs * lines) << ls;
+                    self.remaining -= (runs * lines) << ls;
                 }
                 _ => return Some(self.scalar_run()),
             }
         }
-        let (units, line_bytes, _, xor) = d.bulk.expect("pending runs come from the bulk path");
         let j = self.next_line;
-        let unit = if xor {
-            ((j ^ self.hash) % units) as usize
+        let unit = if g.is_xor() {
+            units.rem(j ^ self.hash) as usize
         } else {
             j as usize
         };
         self.next_line += 1;
         self.runs_left -= 1;
-        let total = self.run_lines * line_bytes;
+        let total = self.run_lines << ls;
         Some(Run {
             loc: Location {
                 unit,
                 ..self.line_loc
             },
-            head: bb,
+            head: d.burst.get(),
             total,
-            bursts: total / bb,
+            bursts: d.burst.div(total),
         })
     }
 }
@@ -209,32 +233,29 @@ impl Runs<'_> {
     #[inline]
     fn scalar_run(&mut self) -> Run {
         let d = self.decoder;
-        let bb = d.burst_bytes;
+        let bb = d.burst;
         let (addr, remaining) = (self.addr, self.remaining);
-        let loc = d.mapping.decode(PhysAddr::new(addr));
+        let loc = d.geometry.decode(addr);
         // First burst: up to the next burst-aligned boundary. It is
         // attributed wholly to `loc` even if it extends past the span —
         // exactly what the per-burst decode does, which decodes each
         // burst at its *start* address.
-        let head = (bb - addr % bb).min(remaining);
+        let head = (bb.get() - bb.rem(addr)).min(remaining);
         // Further bursts join the run while their start addresses stay
         // inside the span (and inside the request). A request that ends
         // inside its first burst needs no span at all — the common case
         // for scalar gathers.
         let extra = if remaining > head {
-            let reach = d
-                .mapping
-                .contiguous_run_bytes(PhysAddr::new(addr))
-                .min(remaining);
+            let reach = d.geometry.contiguous_run_bytes(addr).min(remaining);
             if reach > head {
-                (reach - head).div_ceil(bb)
+                bb.div_ceil(reach - head)
             } else {
                 0
             }
         } else {
             0
         };
-        let total = remaining.min(head + extra * bb);
+        let total = remaining.min(head + extra * bb.get());
         self.addr += total;
         self.remaining -= total;
         Run {

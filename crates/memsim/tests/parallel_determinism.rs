@@ -19,7 +19,7 @@
 //!    `simulate_tenants` under `DualCheck` hold the fast engine's
 //!    per-batch tenant attribution equal to the cycle engine's
 //!    per-burst attribution, on gathers, line-sized and row-stripe
-//!    requests.
+//!    requests, and on gather-heavy mixes of scalar reads and bursts.
 //!
 //! These properties are what make `--jobs N` and `EngineKind::Fast`
 //! shippable: the parallel run and the fast run are not "close", they
@@ -382,16 +382,48 @@ fn tenant_stream_strategy() -> impl Strategy<Value = TenantStream> {
         .prop_map(|(reqs, arrival)| TenantStream::new(TraceBuffer::from(reqs)).arriving_at(arrival))
 }
 
+/// One request of a gather-heavy tenant (spmv's shape): mostly 4-byte
+/// scalar gathers inside 64 KiB, so co-tenants share rows, with aligned
+/// 32- and 64-byte bursts that a preceding gather's run can absorb, and
+/// 4-byte reads that straddle a 32- and a 64-byte burst boundary.
+fn gather_request_strategy() -> impl Strategy<Value = Request> {
+    (0u8..8, 0u64..(1 << 16), any::<bool>()).prop_map(|(kind, addr, write)| {
+        let (addr, bytes) = match kind {
+            0..=4 => (addr & !3, 4),
+            5 => (addr & !31, 32),
+            6 => (addr & !63, 64),
+            _ => ((addr & !63) + 62, 4),
+        };
+        if write {
+            Request::write(addr, bytes)
+        } else {
+            Request::read(addr, bytes)
+        }
+    })
+}
+
+fn gather_stream_strategy() -> impl Strategy<Value = TenantStream> {
+    (
+        proptest::collection::vec(gather_request_strategy(), 0..48),
+        0u64..8,
+    )
+        .prop_map(|(reqs, arrival)| TenantStream::new(TraceBuffer::from(reqs)).arriving_at(arrival))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Tagged `DualCheck` compares the fast engine's batch attribution
     /// with the cycle engine's per-burst attribution, and the tenant
-    /// slices partition the aggregate traffic.
+    /// slices partition the aggregate traffic. Tenants are serving mixes
+    /// or gather-heavy streams, which the one-burst path replays.
     #[test]
     fn tagged_dual_check_holds_on_serving_mixes(
         cfg in tenancy_preset_strategy(),
-        streams in proptest::collection::vec(tenant_stream_strategy(), 1..=6),
+        streams in proptest::collection::vec(
+            prop_oneof![tenant_stream_strategy(), gather_stream_strategy()],
+            1..=6,
+        ),
     ) {
         for jobs in [1usize, 2] {
             let run = simulate_tenants(&cfg, &streams, &SimOptions::dual_check().jobs(jobs))

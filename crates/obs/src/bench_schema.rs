@@ -28,6 +28,12 @@ use crate::json::{array, parse, Object, Value};
 /// Current schema version emitted by the tooling.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
+/// Ratios of host wall times whose names carry neither a wall nor a
+/// direction keyword, declared here instead: each is wall-derived, and
+/// bigger is better. `engine_throughput`'s `fast_over_cycle` is the
+/// geomean of cycle/fast replay wall ratios.
+pub const WALL_RATIOS: [&str; 1] = ["fast_over_cycle"];
+
 /// One harness record: name, scalar metrics, optional harness wall time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
@@ -46,10 +52,13 @@ impl BenchRecord {
     }
 
     /// True when `key` names a wall-clock measurement (or a metric
-    /// derived from one, like a measured-throughput `*per_sec*` rate)
-    /// rather than a modeled metric.
+    /// derived from one, like a measured-throughput `*per_sec*` rate or
+    /// a declared [`WALL_RATIOS`] key) rather than a modeled metric.
     pub fn is_wall_metric(key: &str) -> bool {
-        key.ends_with("wall_s") || key.ends_with("_wall") || key.contains("per_sec")
+        key.ends_with("wall_s")
+            || key.ends_with("_wall")
+            || key.contains("per_sec")
+            || WALL_RATIOS.contains(&key)
     }
 }
 
@@ -246,5 +255,14 @@ mod tests {
         assert!(BenchRecord::is_wall_metric("fast_bursts_per_sec_per_core"));
         assert!(!BenchRecord::is_wall_metric("avg_speedup"));
         assert!(!BenchRecord::is_wall_metric("bandwidth_gbps"));
+    }
+
+    #[test]
+    fn declared_wall_ratios_are_wall_metrics() {
+        assert!(BenchRecord::is_wall_metric("fast_over_cycle"));
+        // Exact keys only: a modeled metric that merely shares the
+        // words stays modeled.
+        assert!(!BenchRecord::is_wall_metric("fast_over_cycle_bursts"));
+        assert!(!BenchRecord::is_wall_metric("streams"));
     }
 }
