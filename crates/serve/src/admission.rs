@@ -1,17 +1,29 @@
-//! The admission gate: manifest rendering and `certify_set` as the
-//! scheduler's only door.
+//! The admission gate: `certify_set` as the scheduler's only door.
 //!
 //! Every epoch the scheduler proposes a batch of resident candidates;
-//! the gate renders them as a PR-8 session-set manifest (one `TENANT`
-//! section per candidate: its partition, its arrival stagger, its
-//! declared `BUDGET TIME`, and its class body rebased into the slot)
-//! and asks [`certify_set`] for a verdict. The scheduler never admits
-//! on its own authority: ADMIT means the certifier *proved* isolation
-//! and every declared ceiling, REJECT comes with the MEA3xx proof
-//! attached, and UNKNOWN is never admitted: the scheduler retries it
-//! in a later batch and sheds it once the retry budget is spent.
+//! the gate builds them into a session set (one tenant per candidate:
+//! its partition, its arrival stagger, its declared time budget, and
+//! its class body rebased into the slot) and asks [`certify_set`] for
+//! a verdict. The scheduler never admits on its own authority: ADMIT
+//! means the certifier *proved* isolation and every declared ceiling,
+//! REJECT comes with the MEA3xx proof attached, and UNKNOWN is never
+//! admitted: the scheduler retries it in a later batch and sheds it
+//! once the retry budget is spent.
+//!
+//! The set is built structurally, not from text: the gate parses each
+//! distinct class body once, on first sight, and places a tenant by
+//! moving the parsed session's extents into its slot
+//! ([`Session::rebased`]). [`AdmissionGate::manifest`] renders the same
+//! batch as a session-set manifest for export; parsing that manifest
+//! gives the same verdict, proof, report and bounds as
+//! [`AdmissionGate::certify`].
 
-use mealib_verify::interference::{certify_set, parse_session_set, Certification, SessionSet};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use mealib_verify::dataflow::{parse_session, MemLayer, Session};
+use mealib_verify::interference::{certify_set, Certification, SessionSet, TenantDecl};
 use mealib_verify::BoundsEnv;
 use mealib_workloads::sessions::rebase_session;
 
@@ -28,25 +40,27 @@ pub struct Resident {
     pub partition: AddrRange,
     /// Request-slot arrival offset inside the epoch's merged replay.
     pub arrival_slot: u64,
-    /// The class body rebased into the partition slot.
-    pub body: String,
+    /// The class's canonical body, not rebased: the gate moves its
+    /// parsed extents to the partition base. Shared, so cloning a batch
+    /// copies no text.
+    pub body: Arc<str>,
 }
 
 impl Resident {
-    /// Places `request` into `partition` with the given stagger,
-    /// rebasing `canonical_body` to the slot base.
+    /// Places `request` into `partition` with the given stagger; its
+    /// class body `canonical_body` is rebased to the slot base when the
+    /// batch is certified or rendered.
     pub fn place(
         request: SessionRequest,
         canonical_body: &str,
         partition: AddrRange,
         arrival_slot: u64,
     ) -> Self {
-        let body = rebase_session(canonical_body, partition.start().get());
         Self {
             request,
             partition,
             arrival_slot,
-            body,
+            body: canonical_body.into(),
         }
     }
 
@@ -54,17 +68,55 @@ impl Resident {
     pub fn tenant_name(&self) -> String {
         format!("s{}", self.request.id)
     }
+
+    /// The manifest lines this resident's tenant section takes before
+    /// its body: `TENANT`, `PARTITION`, and `ARRIVAL`/`BUDGET TIME`
+    /// when present.
+    fn header_lines(&self) -> usize {
+        2 + usize::from(self.arrival_slot > 0) + usize::from(self.request.time_budget_s.is_some())
+    }
 }
 
-/// The admission gate: environment plus the optional §4.2 asymmetric
-/// boundary every manifest shares.
+/// A class body parsed once: the session every placement of the class
+/// is rebased from, and the manifest lines the body takes.
+#[derive(Debug, Clone)]
+struct ParsedClass {
+    session: Session,
+    lines: usize,
+}
+
+impl ParsedClass {
+    /// # Panics
+    ///
+    /// Panics if `body` fails to parse or carries its own `MEM`
+    /// directive (the layer is the gate's): class bodies are in-tree,
+    /// so either is a scheduler bug, not an input condition.
+    fn parse(body: &str) -> Self {
+        let session = parse_session(body).expect("class bodies parse");
+        assert!(
+            session.mem_layer.is_none(),
+            "class bodies leave the memory layer to the gate"
+        );
+        Self {
+            session,
+            lines: body.lines().count(),
+        }
+    }
+}
+
+/// The admission gate: environment, the optional §4.2 asymmetric
+/// boundary every batch shares, and every class body it has parsed.
 #[derive(Debug, Clone)]
 pub struct AdmissionGate {
     env: BoundsEnv,
-    /// When set, every manifest opens with `MEM ASYM <split>`: the
-    /// shared layer carves a dedicated high region at `split`, so
-    /// tenants placed above it own their unit outright.
+    /// When set, every batch runs on the asymmetric layer split at
+    /// `split` (a manifest opens with `MEM ASYM <split>`): the shared
+    /// layer carves a dedicated high region at `split`, so tenants
+    /// placed above it own their unit outright.
     asym_split: Option<u64>,
+    /// Canonical class body → its parse, filled on first sight and
+    /// bounded by the number of distinct bodies.
+    classes: RefCell<HashMap<Arc<str>, ParsedClass>>,
 }
 
 impl AdmissionGate {
@@ -73,13 +125,14 @@ impl AdmissionGate {
         Self {
             env,
             asym_split: None,
+            classes: RefCell::default(),
         }
     }
 
-    /// Switches every manifest to the asymmetric layer split at
-    /// `split` (callers should pick a power of two at least as large
-    /// as the biggest partition slot, so no slot straddles the
-    /// boundary — buddy slots are self-aligned).
+    /// Switches every batch to the asymmetric layer split at `split`
+    /// (callers should pick a power of two at least as large as the
+    /// biggest partition slot, so no slot straddles the boundary —
+    /// buddy slots are self-aligned).
     pub fn with_asym_split(mut self, split: u64) -> Self {
         self.asym_split = Some(split);
         self
@@ -90,7 +143,8 @@ impl AdmissionGate {
         &self.env
     }
 
-    /// Renders the session-set manifest for `batch`. Float budgets
+    /// Renders the session-set manifest for `batch`: the text form of
+    /// the set [`AdmissionGate::certify`] builds. Float budgets
     /// round-trip exactly (Rust float formatting is shortest-exact).
     pub fn manifest(&self, batch: &[Resident]) -> String {
         let mut src = String::new();
@@ -110,22 +164,52 @@ impl AdmissionGate {
             if let Some(b) = r.request.time_budget_s {
                 src.push_str(&format!("BUDGET TIME {b}\n"));
             }
-            src.push_str(&r.body);
+            src.push_str(&rebase_session(&r.body, r.partition.start().get()));
         }
         src
     }
 
-    /// Certifies `batch`, returning the parsed set (the replay input)
+    /// Certifies `batch`, returning the session set (the replay input)
     /// and the certification (verdict + proof + bounds).
+    ///
+    /// The set is what parsing [`AdmissionGate::manifest`] gives, down
+    /// to the tenant and partition lines the report cites; only each
+    /// tenant session's own spans stay relative to its class body.
     ///
     /// # Panics
     ///
-    /// Panics if the rendered manifest fails to parse or the preset
-    /// environment fails validation — both are scheduler bugs, not
-    /// input conditions.
+    /// Panics if a class body fails to parse, a rebased extent wraps
+    /// the address space, or the preset environment fails validation —
+    /// all scheduler bugs, not input conditions.
     pub fn certify(&self, batch: &[Resident]) -> (SessionSet, Certification) {
-        let src = self.manifest(batch);
-        let set = parse_session_set(&src).expect("rendered manifests parse");
+        let mut classes = self.classes.borrow_mut();
+        let mut line = 1 + usize::from(self.asym_split.is_some());
+        let mut tenants = Vec::with_capacity(batch.len());
+        for r in batch {
+            let class = classes
+                .entry(Arc::clone(&r.body))
+                .or_insert_with(|| ParsedClass::parse(&r.body));
+            let mut session = class
+                .session
+                .rebased(r.partition.start().get())
+                .expect("partition slots lie inside the address space");
+            // The manifest's `BUDGET TIME` line precedes the body, so a
+            // budget the body declares itself would win.
+            session.budgets.time_s = session.budgets.time_s.or(r.request.time_budget_s);
+            tenants.push(TenantDecl {
+                name: r.tenant_name(),
+                line,
+                partition: Some((line + 1, r.partition)),
+                arrival: r.arrival_slot,
+                session,
+            });
+            line += r.header_lines() + class.lines;
+        }
+        let set = SessionSet {
+            tenants,
+            budgets: Default::default(),
+            mem_layer: self.asym_split.map(|split| (1, MemLayer::Asym(split))),
+        };
         let cert = certify_set(&set, &self.env).expect("preset env validates");
         (set, cert)
     }
@@ -169,6 +253,27 @@ mod tests {
         assert_eq!(set.tenants[0].name, "s0");
         assert_eq!(set.tenants[1].arrival, 64);
         assert!(cert.codes().is_empty());
+    }
+
+    #[test]
+    fn each_class_body_is_parsed_once() {
+        let cat = Catalogue::standard(&BoundsEnv::default());
+        let gate = AdmissionGate::new(BoundsEnv::default());
+        let slot = cat.get("stap-tiny").unwrap().slot;
+        let batch = vec![
+            place(&cat, 0, "stap-tiny", 0, None),
+            place(&cat, 1, "sar-chain-256", slot, None),
+            place(&cat, 2, "stap-tiny", 2 * slot, None),
+        ];
+        let (set, _) = gate.certify(&batch);
+        gate.certify(&batch[..1]);
+        assert_eq!(gate.classes.borrow().len(), 2);
+        // Each tenant's extents moved to its own slot.
+        for (t, r) in set.tenants.iter().zip(&batch) {
+            for ext in t.session.extents.values() {
+                assert!(r.partition.start() <= ext.start() && ext.end() <= r.partition.end());
+            }
+        }
     }
 
     #[test]

@@ -6,16 +6,18 @@
 //! re-planning. Partition rebasing only moves `BUF` directives — the
 //! TDL text itself is canonical per class — so the plan cache hits on
 //! every repeat admission of a class, which is exactly the batching
-//! economy the serving layer claims. The scheduler reads the hit/build
-//! counters back out of here for the report.
+//! economy the serving layer claims. Each class body is parsed once,
+//! into the per-item plan keys (program text and parameter bag) every
+//! later admission of the class reuses. The scheduler reads the
+//! hit/build counters back out of here for the report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use mealib_runtime::{Runtime, VerifyMode};
 use mealib_sim::plausible_params;
 use mealib_tdl::{ParamBag, TdlItem, TdlProgram};
 use mealib_types::Bytes;
-use mealib_verify::dataflow::{parse_session, HostOp};
+use mealib_verify::dataflow::{parse_session, HostOp, Session};
 
 use crate::session::Catalogue;
 
@@ -24,11 +26,35 @@ use crate::session::Catalogue;
 pub struct DescriptorBatcher {
     rt: Runtime,
     planned: u64,
+    /// Canonical class body → one plan key per top-level TDL item.
+    keys: HashMap<String, Vec<(String, ParamBag)>>,
+}
+
+/// One plan key per top-level item of `session`: the item alone as a
+/// program text, and a plausible parameter blob for each of its comps.
+fn plan_keys(session: &Session) -> Vec<(String, ParamBag)> {
+    session
+        .program
+        .items
+        .iter()
+        .map(|item| {
+            let mut bag = ParamBag::new();
+            let passes = match item {
+                TdlItem::Pass(p) => std::slice::from_ref(p),
+                TdlItem::Loop(l) => l.body.as_slice(),
+            };
+            for comp in passes.iter().flat_map(|p| &p.comps) {
+                bag.insert(comp.params.clone(), plausible_params(comp.accel).to_bytes());
+            }
+            (TdlProgram::new(vec![item.clone()]).to_string(), bag)
+        })
+        .collect()
 }
 
 impl DescriptorBatcher {
     /// A batcher with every catalogue buffer pre-allocated (token
-    /// sizes: planning checks the descriptor path, not the dataset).
+    /// sizes: planning checks the descriptor path, not the dataset)
+    /// and every catalogue class's plan keys computed.
     ///
     /// # Panics
     ///
@@ -40,6 +66,7 @@ impl DescriptorBatcher {
         // of each descriptor would double-charge the gate.
         rt.set_verify_mode(VerifyMode::Off);
         let mut names: BTreeSet<String> = BTreeSet::new();
+        let mut keys = HashMap::new();
         for class in catalogue.classes() {
             let session = parse_session(&class.body).expect("catalogue sessions parse");
             for pass in session.program.passes() {
@@ -51,12 +78,17 @@ impl DescriptorBatcher {
                     names.insert(b.clone());
                 }
             }
+            keys.insert(class.body.clone(), plan_keys(&session));
         }
         for name in &names {
             rt.mem_alloc(name, Bytes::from_mib(1))
                 .expect("batcher buffers fit the default stack");
         }
-        Self { rt, planned: 0 }
+        Self {
+            rt,
+            planned: 0,
+            keys,
+        }
     }
 
     /// Plans every top-level TDL item of `canonical_body` through the
@@ -64,26 +96,23 @@ impl DescriptorBatcher {
     ///
     /// # Panics
     ///
-    /// Panics if planning a catalogue session fails — the bodies are
-    /// in-tree and the buffers pre-allocated, so that is a bug.
+    /// Panics if the body fails to parse or planning it fails — the
+    /// bodies are in-tree and the buffers pre-allocated, so that is a
+    /// bug.
     pub fn plan_class(&mut self, canonical_body: &str) -> usize {
-        let session = parse_session(canonical_body).expect("catalogue sessions parse");
-        for item in &session.program.items {
-            let program = TdlProgram::new(vec![item.clone()]);
-            let mut bag = ParamBag::new();
-            let comps: Vec<_> = match item {
-                TdlItem::Pass(p) => p.comps.clone(),
-                TdlItem::Loop(l) => l.body.iter().flat_map(|p| p.comps.clone()).collect(),
-            };
-            for comp in comps {
-                bag.insert(comp.params.clone(), plausible_params(comp.accel).to_bytes());
-            }
-            self.rt
-                .acc_plan_cached(&program.to_string(), &bag)
-                .expect("catalogue sessions plan");
-            self.planned += 1;
+        if !self.keys.contains_key(canonical_body) {
+            let session = parse_session(canonical_body).expect("catalogue sessions parse");
+            self.keys
+                .insert(canonical_body.to_string(), plan_keys(&session));
         }
-        session.program.items.len()
+        let keys = &self.keys[canonical_body];
+        for (program, bag) in keys {
+            self.rt
+                .acc_plan_cached(program, bag)
+                .expect("catalogue sessions plan");
+        }
+        self.planned += keys.len() as u64;
+        keys.len()
     }
 
     /// Total top-level items planned (cached or not).

@@ -6,8 +6,9 @@
 //! hand-built tenant mixes, it runs a discrete-event scheduler whose
 //! *only* admission authority is [`certify_set`]'s verdict. Arriving
 //! TDL sessions ([`traffic`]) are placed into buddy-allocated vault
-//! partitions ([`partition`]), rendered as session-set manifests and
-//! certified against the currently-forming batch ([`admission`]),
+//! partitions ([`partition`]), built into session sets from each
+//! class body parsed once and certified against the
+//! currently-forming batch ([`admission`]),
 //! planned through the runtime's cached compiler path ([`batch`]),
 //! and replayed through the tagged interleaved engine for exact
 //! per-tenant attribution ([`scheduler`]). REJECT verdicts retry with

@@ -5,12 +5,13 @@
 //! ([`mealib_workloads::sessions::pipeline_sessions`]) expressed as a
 //! canonical analysis session; a *session request* is one arriving
 //! instance of a class with a tenant-visible time budget. The
-//! scheduler rebases the class's canonical body into whatever
-//! partition slot the candidate is offered
-//! ([`rebase_session`](mealib_workloads::sessions::rebase_session)),
-//! so the catalogue caches per-class geometry once: the byte span a
-//! slot must cover and the exact trace bytes the class emits (the
-//! conservation tests reconcile scheduler output against the latter).
+//! admission gate parses each class's canonical body once and moves
+//! its extents into whatever partition slot the candidate is offered
+//! ([`Session::rebased`](mealib_verify::dataflow::Session::rebased));
+//! no body is rendered or re-parsed per placement. The catalogue
+//! caches per-class geometry once: the byte span a slot must cover
+//! and the exact trace bytes the class emits (the conservation tests
+//! reconcile scheduler output against the latter).
 
 use std::collections::BTreeMap;
 

@@ -88,9 +88,19 @@ impl std::error::Error for LexError {}
 ///
 /// Returns a [`LexError`] for characters outside the TDL alphabet.
 pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
+    tokenize_at(src, 1)
+}
+
+/// Tokenizes TDL source whose first line is line `first_line` of an
+/// enclosing file, so token and error lines refer to that file.
+///
+/// # Errors
+///
+/// Returns a [`LexError`] for characters outside the TDL alphabet.
+pub(crate) fn tokenize_at(src: &str, first_line: usize) -> Result<Vec<Token>, LexError> {
     let mut out = Vec::new();
     let mut chars = src.chars().peekable();
-    let mut line = 1usize;
+    let mut line = first_line;
     while let Some(&c) = chars.peek() {
         match c {
             '\n' => {

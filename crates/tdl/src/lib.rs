@@ -47,4 +47,6 @@ pub mod parser;
 
 pub use ast::{AcceleratorKind, CompBlock, LoopBlock, PassBlock, TdlItem, TdlProgram};
 pub use descriptor::{Descriptor, DescriptorError, ParamBag};
-pub use parser::{parse, parse_with_lines, ItemLines, ParseError, PassLines, ProgramLines};
+pub use parser::{
+    parse, parse_with_lines, parse_with_lines_at, ItemLines, ParseError, PassLines, ProgramLines,
+};

@@ -3,7 +3,7 @@
 use core::fmt;
 
 use crate::ast::{AcceleratorKind, CompBlock, LoopBlock, PassBlock, TdlItem, TdlProgram};
-use crate::lexer::{tokenize, LexError, Token, TokenKind};
+use crate::lexer::{tokenize_at, LexError, Token, TokenKind};
 
 /// A parse error with source-line context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +123,22 @@ pub fn parse(src: &str) -> Result<TdlProgram, ParseError> {
 /// Returns a [`ParseError`] describing the first lexical or syntactic
 /// problem.
 pub fn parse_with_lines(src: &str) -> Result<(TdlProgram, ProgramLines), ParseError> {
-    let tokens = tokenize(src)?;
+    parse_with_lines_at(src, 1)
+}
+
+/// [`parse_with_lines`] for source whose first line is line
+/// `first_line` of an enclosing file: every span and error line refers
+/// to that file, without padding the source with blank lines.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] describing the first lexical or syntactic
+/// problem.
+pub fn parse_with_lines_at(
+    src: &str,
+    first_line: usize,
+) -> Result<(TdlProgram, ProgramLines), ParseError> {
+    let tokens = tokenize_at(src, first_line)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut items = Vec::new();
     let mut lines = ProgramLines::default();
@@ -349,6 +364,30 @@ mod tests {
             }
         }
     "#;
+
+    #[test]
+    fn parsing_at_a_line_offset_shifts_every_line() {
+        let src = "\nPASS in=a out=b {\n  COMP FFT params=\"f\"\n}\n";
+        let (p1, l1) = parse_with_lines(src).unwrap();
+        let (p2, l2) = parse_with_lines_at(src, 100).unwrap();
+        assert_eq!(p1, p2);
+        match (&l1.items[0], &l2.items[0]) {
+            (ItemLines::Pass(a), ItemLines::Pass(b)) => {
+                assert_eq!((a.header, b.header), (2, 101));
+                assert_eq!((a.comps.clone(), b.comps.clone()), (vec![3], vec![102]));
+            }
+            other => panic!("expected pass lines, got {other:?}"),
+        }
+        let bad = "\nPASS in=a out=b {\n  COMP WAT params=\"f\"\n}\n";
+        match parse_with_lines_at(bad, 100) {
+            Err(ParseError::UnknownAccelerator { line, .. }) => assert_eq!(line, 102),
+            other => panic!("expected an unknown accelerator, got {other:?}"),
+        }
+        match parse_with_lines_at("\n\n  $", 100) {
+            Err(ParseError::Lex(e)) => assert!(e.to_string().contains("line 102"), "{e}"),
+            other => panic!("expected a lex error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn parses_sample() {

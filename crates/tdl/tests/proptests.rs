@@ -1,16 +1,56 @@
 //! Property tests: TDL print/parse and descriptor encode/decode
-//! round-trips over randomly generated programs.
+//! round-trips over randomly generated programs, and the text parser's
+//! robustness: arbitrary text and token soup get `Ok` or a typed
+//! [`mealib_tdl::ParseError`], never a panic.
 
 use std::collections::BTreeMap;
 
 use mealib_tdl::{
-    parse, AcceleratorKind, CompBlock, Descriptor, LoopBlock, ParamBag, PassBlock, TdlItem,
-    TdlProgram,
+    parse, parse_with_lines_at, AcceleratorKind, CompBlock, Descriptor, LoopBlock, ParamBag,
+    PassBlock, TdlItem, TdlProgram,
 };
 use proptest::prelude::*;
 
 fn accel_strategy() -> impl Strategy<Value = AcceleratorKind> {
     proptest::sample::select(AcceleratorKind::ALL.to_vec())
+}
+
+/// TDL tokens, malformed ones and numbers at the `u64` limit, each
+/// with the separator that follows it.
+fn soup_token() -> impl Strategy<Value = String> {
+    const TOKENS: &[&str] = &[
+        "PASS",
+        "LOOP",
+        "COMP",
+        "in",
+        "out",
+        "params",
+        "=",
+        "{",
+        "}",
+        "\"",
+        "\"p.para\"",
+        "FFT",
+        "AXPY",
+        "GEMV",
+        "RESHP",
+        "WAT",
+        "a",
+        "b",
+        "0",
+        "3",
+        "#",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "0x10",
+        "\u{e9}",
+    ];
+    (
+        proptest::sample::select(TOKENS.to_vec()),
+        proptest::sample::select(vec!["", " ", "\n", "\t"]),
+    )
+        .prop_map(|(tok, sep)| format!("{tok}{sep}"))
 }
 
 fn ident_strategy() -> impl Strategy<Value = String> {
@@ -88,5 +128,20 @@ proptest! {
     #[test]
     fn decoding_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Descriptor::decode_bytes(&bytes);
+    }
+
+    #[test]
+    fn parsing_arbitrary_text_never_panics(src in "\\PC{0,300}") {
+        let _ = parse(&src);
+    }
+
+    #[test]
+    fn parsing_token_soup_never_panics(
+        toks in proptest::collection::vec(soup_token(), 0..40),
+        first_line in 1usize..1_000_000,
+    ) {
+        let src = toks.concat();
+        let _ = parse(&src);
+        let _ = parse_with_lines_at(&src, first_line);
     }
 }

@@ -32,7 +32,7 @@
 
 use std::collections::BTreeMap;
 
-use mealib_tdl::{parse_with_lines, ParseError, ProgramLines, TdlProgram};
+use mealib_tdl::{parse_with_lines_at, ParseError, ProgramLines, TdlProgram};
 use mealib_types::{AddrRange, Bytes, PhysAddr};
 
 /// One host-side action recorded by a session directive.
@@ -100,6 +100,35 @@ impl Session {
     pub fn is_explicit(&self) -> bool {
         !self.host_ops.is_empty()
     }
+
+    /// This session with every declared `BUF` extent moved up by
+    /// `offset` bytes — what parsing the source again with each `BUF`
+    /// base rewritten to `base + offset` gives, without the text round
+    /// trip. Program, spans, host operations, budgets and memory layer
+    /// are unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns the typed error a `BUF` directive past the 64-bit
+    /// address space gets when a moved extent would wrap. It names the
+    /// extent and the offset; a moved extent has no source line of its
+    /// own, so the error's line is 0.
+    pub fn rebased(&self, offset: u64) -> Result<Session, ParseError> {
+        let mut out = self.clone();
+        for (name, range) in &mut out.extents {
+            let (base, len) = (range.start().get(), range.len().get());
+            match base.checked_add(offset) {
+                Some(moved) if moved.checked_add(len).is_some() => {
+                    *range = AddrRange::new(PhysAddr::new(moved), Bytes::new(len));
+                }
+                _ => {
+                    let raw = format!("BUF {name} 0x{base:x} 0x{len:x} moved by 0x{offset:x}");
+                    return Err(directive_err(EXTENT_EXPECTED, &raw, 0));
+                }
+            }
+        }
+        Ok(out)
+    }
 }
 
 fn directive_err(expected: &str, found: &str, line: usize) -> ParseError {
@@ -118,15 +147,14 @@ fn parse_extent_number(tok: &str, line: usize) -> Result<u64, ParseError> {
     parsed.map_err(|_| directive_err("a decimal or 0x-prefixed address", tok, line))
 }
 
+/// What a wrapping extent's error says was expected.
+const EXTENT_EXPECTED: &str = "an extent inside the 64-bit address space";
+
 /// The range `[base, base + len)`, or a typed error when it wraps the
 /// 64-bit address space.
 pub(crate) fn extent(base: u64, len: u64, raw: &str, line: usize) -> Result<AddrRange, ParseError> {
     if base.checked_add(len).is_none() {
-        return Err(directive_err(
-            "an extent inside the 64-bit address space",
-            raw,
-            line,
-        ));
+        return Err(directive_err(EXTENT_EXPECTED, raw, line));
     }
     Ok(AddrRange::new(PhysAddr::new(base), Bytes::new(len)))
 }
@@ -146,6 +174,13 @@ fn parse_budget_number(tok: &str, line: usize) -> Result<f64, ParseError> {
 /// Returns a [`ParseError`] for a malformed directive or for any
 /// lexical/syntactic problem in the TDL remainder.
 pub fn parse_session(src: &str) -> Result<Session, ParseError> {
+    parse_session_at(src, 1)
+}
+
+/// [`parse_session`] for a session whose first line is line
+/// `first_line` of an enclosing file (a session-set manifest): every
+/// span and error line refers to that file.
+pub(crate) fn parse_session_at(src: &str, first_line: usize) -> Result<Session, ParseError> {
     let mut tdl = String::with_capacity(src.len());
     let mut host_ops = Vec::new();
     let mut extents = BTreeMap::new();
@@ -153,7 +188,7 @@ pub fn parse_session(src: &str) -> Result<Session, ParseError> {
     let mut mem_layer = None;
 
     for (idx, raw) in src.lines().enumerate() {
-        let line = idx + 1;
+        let line = idx + first_line;
         let toks: Vec<&str> = raw.split_whitespace().collect();
         let is_directive = matches!(
             toks.first(),
@@ -217,7 +252,7 @@ pub fn parse_session(src: &str) -> Result<Session, ParseError> {
         }
     }
 
-    let (program, lines) = parse_with_lines(&tdl)?;
+    let (program, lines) = parse_with_lines_at(&tdl, first_line)?;
     Ok(Session {
         program,
         lines,

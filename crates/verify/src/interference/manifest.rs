@@ -22,18 +22,20 @@
 //! `MEM` and `BUDGET` directives (and blank lines) are legal there —
 //! the header's budgets are the *aggregate* envelope the whole set is
 //! judged against, and its `MEM` directive selects the one layer every
-//! tenant shares. Each tenant section is re-parsed with
-//! [`parse_session`] after the set-level directives are blanked, with
-//! enough blank padding that every span in the parsed session refers
-//! to the original manifest line — diagnostics point at the file the
-//! user wrote.
+//! tenant shares. Each tenant section is parsed with
+//! [`parse_session`]'s grammar after the set-level directives are
+//! blanked, starting at the section's own manifest line, so every span
+//! in the parsed session refers to the original manifest line —
+//! diagnostics point at the file the user wrote.
 //!
 //! [`parse_session`]: crate::dataflow::parse_session
+
+use std::collections::HashSet;
 
 use mealib_tdl::ParseError;
 use mealib_types::AddrRange;
 
-use crate::dataflow::session::extent;
+use crate::dataflow::session::{extent, parse_session_at};
 use crate::dataflow::{Budgets, MemLayer, Session};
 
 /// One tenant's slice of the manifest.
@@ -92,8 +94,8 @@ struct RawTenant {
     line: usize,
     partition: Option<(usize, AddrRange)>,
     arrival: Option<(usize, u64)>,
-    /// Body text, blank-padded so line `n` of the manifest is line `n`
-    /// of the body.
+    /// Body text from the line after `TENANT` on, set directives
+    /// blanked, so line `n` of the body is manifest line `line + n`.
     body: String,
 }
 
@@ -106,15 +108,19 @@ struct RawTenant {
 /// tenant section or repeated within one, TDL before the first
 /// `TENANT`, a tenant-level `MEM` directive) and for any parse error
 /// inside a tenant's session body.
+///
+/// Cost is linear in the manifest: each tenant body is parsed once,
+/// starting at its own manifest line, and names are checked in a set.
 pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
     let mut header = String::new();
     let mut tenants: Vec<RawTenant> = Vec::new();
+    let mut names: HashSet<&str> = HashSet::new();
     for (idx, raw) in src.lines().enumerate() {
         let line = idx + 1;
         let toks: Vec<&str> = raw.split_whitespace().collect();
         match toks.as_slice() {
             ["TENANT", name] => {
-                if tenants.iter().any(|t| t.name == *name) {
+                if !names.insert(*name) {
                     return Err(directive_err("a unique tenant name", raw, line));
                 }
                 tenants.push(RawTenant {
@@ -122,7 +128,7 @@ pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
                     line,
                     partition: None,
                     arrival: None,
-                    body: "\n".repeat(line),
+                    body: String::new(),
                 });
             }
             ["TENANT", ..] => return Err(directive_err("TENANT <name>", raw, line)),
@@ -195,7 +201,7 @@ pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
         mem_layer: header_session.mem_layer,
     };
     for raw in tenants {
-        let session = crate::dataflow::parse_session(&raw.body)?;
+        let session = parse_session_at(&raw.body, raw.line + 1)?;
         if let Some((line, _)) = session.mem_layer {
             return Err(directive_err(
                 "MEM in the manifest header (the layer is shared)",
@@ -217,6 +223,7 @@ pub fn parse_session_set(src: &str) -> Result<SessionSet, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::HostOp;
 
     const TWO_TENANTS: &str = "\
 BUDGET TIME 1.0
@@ -262,6 +269,62 @@ PASS in=x out=y {
             mealib_tdl::ItemLines::Pass(p) => assert_eq!(p.header, 18),
             other => panic!("expected pass lines, got {other:?}"),
         }
+    }
+
+    /// `n` three-line tenants, then one more whose body opens with
+    /// `tail`.
+    fn many_tenants(n: usize, tail: &str) -> String {
+        let mut src = String::new();
+        for k in 0..n {
+            src.push_str(&format!(
+                "TENANT t{k}\nPARTITION 0x{:x} 0x1000\nBUF a 0x{:x} 0x100\n",
+                k << 12,
+                k << 12
+            ));
+        }
+        src.push_str(&format!(
+            "TENANT last\nPARTITION 0x{:x} 0x1000\n{tail}",
+            n << 12
+        ));
+        src
+    }
+
+    #[test]
+    fn spans_stay_manifest_relative_deep_in_a_large_manifest() {
+        let n = 3000;
+        let tail = "ARRIVAL 8\nHOST WRITE a\nPASS in=a out=b {\n  COMP FFT params=\"f\"\n}\n";
+        let set = parse_session_set(&many_tenants(n, tail)).unwrap();
+        assert_eq!(set.tenants.len(), n + 1);
+        assert_eq!(set.tenants[1234].line, 1 + 3 * 1234);
+        let last = set.tenants.last().unwrap();
+        let first = 1 + 3 * n; // the last tenant's TENANT line
+        assert_eq!(last.line, first);
+        assert_eq!(last.partition.unwrap().0, first + 1);
+        assert_eq!(last.arrival, 8);
+        assert_eq!(
+            last.session.host_ops,
+            vec![(first + 3, HostOp::Write("a".into()))]
+        );
+        match &last.session.lines.items[0] {
+            mealib_tdl::ItemLines::Pass(p) => {
+                assert_eq!(p.header, first + 4);
+                assert_eq!(p.comps, vec![first + 5]);
+            }
+            other => panic!("expected pass lines, got {other:?}"),
+        }
+        // A body error deep in the file names its manifest line too.
+        let bad = "PASS in=a out=b {\n  COMP WAT params=\"x\"\n}\n";
+        let err = parse_session_set(&many_tenants(n, bad)).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("line {}", first + 3)),
+            "{err}"
+        );
+        let bad = "BUF a 0xffffffffffffffff 0x2\n";
+        let err = parse_session_set(&many_tenants(n, bad)).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("line {}", first + 2)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Robustness of the text front doors for sessions and session sets:
 //! [`parse_session`] and [`parse_session_set`] must answer any input
 //! with `Ok` or a typed [`mealib_tdl::ParseError`], never a panic —
-//! arbitrary printable text, directive-shaped token soup with extreme
-//! numbers, and corpus manifests mutated line by line.
+//! arbitrary printable text, directive-shaped lines and free token soup
+//! with extreme numbers, and corpus manifests mutated line by line.
 
 use std::fs;
 use std::path::PathBuf;
@@ -227,6 +227,17 @@ proptest! {
     }
 
     #[test]
+    fn token_soup_never_panics(
+        toks in proptest::collection::vec(
+            (token(), proptest::sample::select(vec!["", " ", "\n"])),
+            0..48,
+        ),
+    ) {
+        let src: String = toks.iter().map(|(t, sep)| format!("{t}{sep}")).collect();
+        parse_both(&src);
+    }
+
+    #[test]
     fn mutated_corpus_files_never_panic(
         pick in 0usize..1024,
         edits in proptest::collection::vec(edit(), 1..6),
@@ -249,4 +260,29 @@ fn extents_past_the_address_space_are_typed_errors() {
     assert!(parse_session_set(&set).is_err());
     // The last byte of the address space is still addressable.
     assert!(parse_session("BUF a 0xfffffffffffffff0 0xf\n").is_ok());
+}
+
+#[test]
+#[ignore = "wall-time bound, meaningful in release; run with --ignored"]
+fn large_manifests_parse_in_linear_time() {
+    // An untrusted `.set` with thousands of tenants must not cost
+    // seconds: each body is parsed once from its own manifest line and
+    // names are checked in a set (padding each body to its line and
+    // scanning earlier names made this quadratic: 4000 tenants took
+    // 1.5 s).
+    let n = 8000;
+    let mut src = String::new();
+    for k in 0..n {
+        src.push_str(&format!(
+            "TENANT t{k}\nPARTITION 0x{:x} 0x1000\nBUF a 0x{:x} 0x100\n",
+            k << 12,
+            k << 12
+        ));
+    }
+    let t0 = std::time::Instant::now();
+    let set = parse_session_set(&src).expect("manifest parses");
+    let secs = t0.elapsed().as_secs_f64();
+    assert_eq!(set.tenants.len(), n);
+    assert_eq!(set.tenants[n - 1].line, 1 + 3 * (n - 1));
+    assert!(secs < 1.0, "{n} tenants parsed in {secs:.3} s, bound 1 s");
 }

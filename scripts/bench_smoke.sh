@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Bench smoke: run every mealib-bench harness at reduced sizes with
 # --json, validate that each summary parses, and collect the records
-# into a schema-v1 BENCH file (default BENCH_pr16.json) — the
+# into a schema-v1 BENCH file (default BENCH_pr17.json) — the
 # perf-trajectory data point for this PR. Each record carries the
 # harness's wall time as `wall_s`.
 #
@@ -17,7 +17,7 @@
 #     at least 30% of the grid simulations while every Pareto-frontier
 #     metric stays exactly equal to the full sweep's;
 #   * the perf gate: when a baseline BENCH file exists (BASE env var,
-#     default BENCH_pr15.json), `meaperf BASE OUT --wall-report-only`
+#     default BENCH_pr16.json), `meaperf BASE OUT --wall-report-only`
 #     must pass — modeled metrics gate hard, wall metrics (noisy on a
 #     1-CPU container) are report-only;
 #   * the dual-engine floor: `meaperf --min` requires the fast engine's
@@ -48,8 +48,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_pr16.json}"
-BASE="${BASE:-BENCH_pr15.json}"
+OUT="${1:-BENCH_pr17.json}"
+BASE="${BASE:-BENCH_pr16.json}"
 JQ="$(command -v jq || true)"
 
 echo "==> cargo build --release -p mealib-bench --bins"

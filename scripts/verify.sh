@@ -24,6 +24,16 @@ t0=$(date +%s)
 cargo test -q --release -p mealib-serve --test soak -- --ignored
 echo "serve soak tests: $(( $(date +%s) - t0 )) s"
 
+# The benchmark's serving traffic must keep its pinned fingerprints
+# (every modeled bit of serve-heavy and serve-many at seeds 42 and 7),
+# and a manifest of thousands of tenants must parse within its
+# wall-time bound; both are full-size, so they run here in release.
+echo "==> serve fingerprints and manifest parse bound (release, ignored by default)"
+t0=$(date +%s)
+cargo test -q --release -p mealib-serve --test fingerprints -- --ignored
+cargo test -q --release -p mealib-verify --test manifest_robustness -- --ignored
+echo "fingerprints and parse bound: $(( $(date +%s) - t0 )) s"
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
